@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
@@ -152,9 +153,7 @@ GridStore GridStore::open(const std::string& path) {
 
 GridStore::GridStore(GridMeta meta, std::string path, std::uint32_t file_id)
     : meta_(std::move(meta)), path_(std::move(path)), file_id_(file_id) {
-  std::FILE* f = std::fopen((path_ + ".data").c_str(), "rb");
-  if (f == nullptr) throw std::runtime_error("GridStore: cannot open " + path_ + ".data");
-  data_file_ = std::shared_ptr<std::FILE>(f, FdCloser{});
+  data_file_ = std::make_shared<const storage::DataFile>(path_ + ".data");
 }
 
 std::uint64_t GridStore::read_partition(std::uint32_t i, std::vector<Edge>& out,
@@ -172,13 +171,8 @@ std::uint64_t GridStore::read_edges(std::uint32_t i, EdgeCount first_edge, EdgeC
   const std::uint64_t bytes = count * sizeof(Edge);
 
   // Real read (the data must actually flow — algorithms consume it).
-  {
-    static graphm::Mutex io_mutex;
-    graphm::MutexLock lock(io_mutex);
-    if (std::fseek(data_file_.get(), static_cast<long>(offset), SEEK_SET) != 0 ||
-        std::fread(out, 1, bytes, data_file_.get()) != bytes) {
-      throw std::runtime_error("GridStore: read failed on " + path_);
-    }
+  if (!data_file_->read_at(offset, out, bytes)) {
+    throw std::runtime_error("GridStore: read failed on " + path_);
   }
 
   // Simulated cost.

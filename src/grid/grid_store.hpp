@@ -8,7 +8,6 @@
 // can skip inactive rows without touching the file.
 #pragma once
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "graph/edge_list.hpp"
 #include "graph/types.hpp"
 #include "sim/platform.hpp"
+#include "storage/data_file.hpp"
 #include "storage/store.hpp"
 
 namespace graphm::grid {
@@ -54,12 +54,7 @@ class GridStore final : public storage::PartitionedStore {
   GridMeta meta_;
   std::string path_;
   std::uint32_t file_id_;
-  struct FdCloser {
-    void operator()(std::FILE* f) const {
-      if (f != nullptr) std::fclose(f);
-    }
-  };
-  std::shared_ptr<std::FILE> data_file_;
+  std::shared_ptr<const storage::DataFile> data_file_;
 };
 
 /// Preprocesses (once, cached) the named dataset into the cache dir and opens

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <mutex>
 #include <stdexcept>
@@ -138,9 +139,7 @@ ShardStore ShardStore::open(const std::string& path) {
 
 ShardStore::ShardStore(storage::StoreMeta meta, std::string path, std::uint32_t file_id)
     : meta_(std::move(meta)), path_(std::move(path)), file_id_(file_id) {
-  std::FILE* f = std::fopen((path_ + ".data").c_str(), "rb");
-  if (f == nullptr) throw std::runtime_error("ShardStore: cannot open " + path_ + ".data");
-  data_file_ = std::shared_ptr<std::FILE>(f, FdCloser{});
+  data_file_ = std::make_shared<const storage::DataFile>(path_ + ".data");
 }
 
 std::uint64_t ShardStore::read_partition(std::uint32_t i, std::vector<Edge>& out,
@@ -156,13 +155,8 @@ std::uint64_t ShardStore::read_edges(std::uint32_t i, graph::EdgeCount first_edg
   if (count == 0) return 0;
   const std::uint64_t offset = meta_.partition_offset(i) + first_edge * sizeof(Edge);
   const std::uint64_t bytes = count * sizeof(Edge);
-  {
-    static graphm::Mutex io_mutex;
-    graphm::MutexLock lock(io_mutex);
-    if (std::fseek(data_file_.get(), static_cast<long>(offset), SEEK_SET) != 0 ||
-        std::fread(out, 1, bytes, data_file_.get()) != bytes) {
-      throw std::runtime_error("ShardStore: read failed on " + path_);
-    }
+  if (!data_file_->read_at(offset, out, bytes)) {
+    throw std::runtime_error("ShardStore: read failed on " + path_);
   }
   return platform.page_cache().read(file_id_, offset, bytes, job_id);
 }

@@ -9,11 +9,11 @@
 // GraphChi without its optional selective scheduling).
 #pragma once
 
-#include <cstdio>
 #include <memory>
 #include <string>
 
 #include "graph/edge_list.hpp"
+#include "storage/data_file.hpp"
 #include "storage/store.hpp"
 
 namespace graphm::shard {
@@ -44,12 +44,7 @@ class ShardStore final : public storage::PartitionedStore {
   storage::StoreMeta meta_;
   std::string path_;
   std::uint32_t file_id_;
-  struct FdCloser {
-    void operator()(std::FILE* f) const {
-      if (f != nullptr) std::fclose(f);
-    }
-  };
-  std::shared_ptr<std::FILE> data_file_;
+  std::shared_ptr<const storage::DataFile> data_file_;
 };
 
 /// Preprocesses (once, cached) the named dataset into shards and opens it.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <initializer_list>
 #include <stdexcept>
 
 namespace graphm::sim {
@@ -21,59 +22,74 @@ CacheSim::CacheSim(std::size_t capacity_bytes, std::size_t ways, std::size_t lin
 }
 
 void CacheSim::access(std::uint64_t addr, std::uint32_t job_id) {
-  MutexLock lock(mutex_);
-  access_line_locked(addr / line_bytes_, job_id, 1);
+  access_range(addr, 1, job_id);
 }
 
+// The per-line walk of a range stamps line `first + k` with tick
+// `tick_ + k + 1` and touches set s's lines in ascending order. Sets never
+// interact and ticks are only compared within a set, so each set is replayed
+// on its own. Under LRU, once a set has seen `ways_` distinct lines of the
+// range it holds exactly those (the stack property), so every later line of
+// the range misses and evicts the set's oldest line: the set ends up holding
+// its last `ways_` lines of the range. Only the first `ways_` lines per set
+// need a lookup; which way holds which line is never observable.
 void CacheSim::access_range(std::uint64_t base, std::size_t len, std::uint32_t job_id,
                             std::uint32_t weight) {
   if (len == 0 || weight == 0) return;
-  MutexLock lock(mutex_);
   const std::uint64_t first = base / line_bytes_;
-  const std::uint64_t last = (base + len - 1) / line_bytes_;
-  for (std::uint64_t line = first; line <= last; ++line) {
-    access_line_locked(line, job_id, weight);
+  const std::uint64_t lines = (base + len - 1) / line_bytes_ - first + 1;
+  const std::uint64_t stride = num_sets_;
+  const std::uint64_t touched_sets = std::min<std::uint64_t>(lines, stride);
+  std::uint64_t misses = 0;
+
+  MutexLock lock(mutex_);
+  const std::uint64_t tick0 = tick_;
+  for (std::uint64_t i = 0; i < touched_sets; ++i) {
+    const std::uint64_t line0 = first + i;
+    const std::uint64_t count = (lines - 1 - i) / stride + 1;  // this set's lines
+    const std::uint64_t looked_up = std::min<std::uint64_t>(count, ways_);
+    Way* set = &sets_[static_cast<std::size_t>(line0 & (stride - 1)) * ways_];
+    for (std::uint64_t j = 0; j < looked_up; ++j) {
+      if (!touch(set, ways_, line0 + j * stride, tick0 + i + j * stride + 1)) ++misses;
+    }
+    if (count <= ways_) continue;
+    misses += count - ways_;
+    for (std::size_t w = 0; w < ways_; ++w) {
+      const std::uint64_t k = count - ways_ + w;
+      set[w] = Way{line0 + k * stride, tick0 + i + k * stride + 1, true};
+    }
+  }
+  tick_ += lines;
+
+  const std::uint64_t accesses = lines * weight;
+  const std::uint64_t bytes = misses * line_bytes_;
+  CacheStats& js = stats_for_locked(job_id);
+  for (CacheStats* stats : {&total_, &js}) {
+    stats->accesses += accesses;
+    stats->misses += misses;
+    stats->bytes_swapped_in += bytes;
   }
 }
 
-void CacheSim::access_line_locked(std::uint64_t line_addr, std::uint32_t job_id,
-                                  std::uint32_t weight) {
-  const std::size_t set = static_cast<std::size_t>(line_addr & (num_sets_ - 1));
-  Way* base = &sets_[set * ways_];
-  CacheStats& js = stats_for_locked(job_id);
-
-  // First touch of this burst: normal lookup.
+bool CacheSim::touch(Way* set, std::size_t ways, std::uint64_t line_addr, std::uint64_t tick) {
   std::size_t victim = 0;
-  bool hit = false;
   std::uint64_t oldest = ~0ULL;
-  for (std::size_t w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == line_addr) {
-      hit = true;
-      victim = w;
-      break;
+  for (std::size_t w = 0; w < ways; ++w) {
+    if (set[w].valid && set[w].tag == line_addr) {
+      set[w].last_use = tick;
+      return true;
     }
-    const std::uint64_t use = base[w].valid ? base[w].last_use : 0;
-    if (!base[w].valid) {
+    if (!set[w].valid) {
       // Prefer an invalid way outright.
       victim = w;
       oldest = 0;
-    } else if (use < oldest) {
-      oldest = use;
+    } else if (set[w].last_use < oldest) {
+      oldest = set[w].last_use;
       victim = w;
     }
   }
-
-  total_.accesses += weight;
-  js.accesses += weight;
-  if (!hit) {
-    total_.misses += 1;
-    total_.bytes_swapped_in += line_bytes_;
-    js.misses += 1;
-    js.bytes_swapped_in += line_bytes_;
-    base[victim].tag = line_addr;
-    base[victim].valid = true;
-  }
-  base[victim].last_use = ++tick_;
+  set[victim] = Way{line_addr, tick, true};
+  return false;
 }
 
 CacheStats& CacheSim::stats_for_locked(std::uint32_t job_id) {

@@ -34,7 +34,10 @@ class CacheSim {
 
   /// Sequential accesses covering [base, base+len), one per cache line,
   /// attributed to `job_id`. `weight` repeats each line access (used to model
-  /// re-walks cheaply).
+  /// re-walks cheaply). Exactly equivalent to walking the lines one by one,
+  /// but each set looks up at most `ways` lines of the range and fast-forwards
+  /// the rest (all misses under LRU), so a call costs O(sets x ways), not
+  /// O(lines). Calls are serialised whole.
   void access_range(std::uint64_t base, std::size_t len, std::uint32_t job_id,
                     std::uint32_t weight = 1);
 
@@ -55,8 +58,10 @@ class CacheSim {
     bool valid = false;
   };
 
-  void access_line_locked(std::uint64_t line_addr, std::uint32_t job_id,
-                          std::uint32_t weight) REQUIRES(mutex_);
+  /// One LRU lookup of `line_addr` in the `ways`-way set at `set`, stamping
+  /// it `tick`; on a miss the line replaces an invalid or the oldest way.
+  /// Returns whether it hit.
+  static bool touch(Way* set, std::size_t ways, std::uint64_t line_addr, std::uint64_t tick);
   CacheStats& stats_for_locked(std::uint32_t job_id) REQUIRES(mutex_);
 
   std::size_t ways_;

@@ -36,12 +36,18 @@ void expect_same_results(const RunMetrics& a, const RunMetrics& b) {
   }
 }
 
+// gtest prints a value parameter without a PrintTo overload as its raw bytes,
+// and CTest names each case after that print. The trailing member fills what
+// would otherwise be uninitialised padding, so case names are the same in
+// every build.
 struct Params {
   std::size_t num_jobs;
   std::uint32_t partitions;
   bool scheduling;
   bool fine_sync;
+  std::uint16_t zero_fill = 0;
 };
+static_assert(sizeof(Params) == 16, "Params must have no padding bytes");
 
 class SchemeEquivalence : public ::testing::TestWithParam<Params> {};
 

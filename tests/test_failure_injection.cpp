@@ -53,6 +53,17 @@ TEST(FailureInjection, GridReadPastTruncatedDataThrows) {
   EXPECT_THROW(store.read_partition(0, buffer, platform, 0), std::runtime_error);
 }
 
+TEST(FailureInjection, ShardReadPastTruncatedDataThrows) {
+  const auto g = test::small_rmat(64, 500);
+  const std::string path = test::unique_temp_path("trunc_shard_data");
+  shard::ShardStore::preprocess(g, 2, path);
+  fs::resize_file(path + ".data", 10);
+  const auto store = shard::ShardStore::open(path);
+  sim::Platform platform;
+  std::vector<graph::Edge> buffer;
+  EXPECT_THROW(store.read_partition(0, buffer, platform, 0), std::runtime_error);
+}
+
 TEST(FailureInjection, MissingDegreeFileThrows) {
   const auto g = test::small_rmat(64, 500);
   const std::string path = test::unique_temp_path("nodeg");

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/cache_sim.hpp"
 #include "sim/memory_tracker.hpp"
 #include "sim/page_cache.hpp"
 #include "sim/platform.hpp"
+#include "util/rng.hpp"
 
 namespace graphm::sim {
 namespace {
@@ -66,6 +70,151 @@ TEST(CacheSim, ResetClearsContents) {
   EXPECT_EQ(cache.total_stats().accesses, 0u);
   cache.access(0, 0);
   EXPECT_EQ(cache.total_stats().misses, 1u) << "contents invalidated by reset";
+}
+
+// The per-line LRU walk CacheSim used before it fast-forwarded ranges: every
+// line is looked up, an invalid way is preferred, otherwise the oldest is
+// evicted. The differential test below holds CacheSim to it.
+class PerLineLru {
+ public:
+  PerLineLru(std::size_t capacity_bytes, std::size_t ways, std::size_t line_bytes)
+      : ways_(ways), line_bytes_(line_bytes) {
+    const std::size_t sets = std::max<std::size_t>(1, capacity_bytes / (ways * line_bytes));
+    num_sets_ = std::bit_floor(sets);
+    sets_.assign(num_sets_ * ways_, Way{});
+  }
+
+  void access(std::uint64_t addr, std::uint32_t job) { access_line(addr / line_bytes_, job, 1); }
+
+  void access_range(std::uint64_t base, std::size_t len, std::uint32_t job, std::uint32_t weight) {
+    if (len == 0 || weight == 0) return;
+    for (std::uint64_t line = base / line_bytes_; line <= (base + len - 1) / line_bytes_; ++line) {
+      access_line(line, job, weight);
+    }
+  }
+
+  void reset_stats() {
+    total_ = CacheStats{};
+    per_job_.clear();
+  }
+
+  [[nodiscard]] const CacheStats& total_stats() const { return total_; }
+  [[nodiscard]] CacheStats job_stats(std::uint32_t job) const {
+    return job < per_job_.size() ? per_job_[job] : CacheStats{};
+  }
+
+ private:
+  struct Way {
+    std::uint64_t tag = ~0ULL;
+    std::uint64_t last_use = 0;
+    bool valid = false;
+  };
+
+  void access_line(std::uint64_t line_addr, std::uint32_t job, std::uint32_t weight) {
+    Way* base = &sets_[static_cast<std::size_t>(line_addr & (num_sets_ - 1)) * ways_];
+    if (job >= per_job_.size()) per_job_.resize(job + 1);
+    CacheStats& js = per_job_[job];
+    std::size_t victim = 0;
+    bool hit = false;
+    std::uint64_t oldest = ~0ULL;
+    for (std::size_t w = 0; w < ways_; ++w) {
+      if (base[w].valid && base[w].tag == line_addr) {
+        hit = true;
+        victim = w;
+        break;
+      }
+      if (!base[w].valid) {
+        victim = w;
+        oldest = 0;
+      } else if (base[w].last_use < oldest) {
+        oldest = base[w].last_use;
+        victim = w;
+      }
+    }
+    total_.accesses += weight;
+    js.accesses += weight;
+    if (!hit) {
+      total_.misses += 1;
+      total_.bytes_swapped_in += line_bytes_;
+      js.misses += 1;
+      js.bytes_swapped_in += line_bytes_;
+      base[victim].tag = line_addr;
+      base[victim].valid = true;
+    }
+    base[victim].last_use = ++tick_;
+  }
+
+  std::size_t ways_;
+  std::size_t line_bytes_;
+  std::size_t num_sets_ = 1;
+  std::uint64_t tick_ = 0;
+  std::vector<Way> sets_;
+  CacheStats total_;
+  std::vector<CacheStats> per_job_;
+};
+
+bool same_stats(const CacheStats& a, const CacheStats& b) {
+  return a.accesses == b.accesses && a.misses == b.misses &&
+         a.bytes_swapped_in == b.bytes_swapped_in;
+}
+
+TEST(CacheSim, FastForwardMatchesPerLineReference) {
+  struct Geometry {
+    std::size_t capacity, ways, line;
+  };
+  // 16-, 8-, 4- and 1-way; 5 x 4 x 64 rounds down to 4 sets.
+  const Geometry geometries[] = {
+      {16 * 1024, 16, 64}, {8 * 1024, 8, 64}, {5 * 4 * 64, 4, 64}, {64 * 64, 1, 64}};
+  constexpr std::uint32_t kJobs = 5;
+  for (const Geometry& geo : geometries) {
+    SCOPED_TRACE(::testing::Message() << geo.ways << "-way, " << geo.capacity << " B");
+    CacheSim fast(geo.capacity, geo.ways, geo.line);
+    PerLineLru oracle(geo.capacity, geo.ways, geo.line);
+    util::SplitMix64 rng(0xCAC4E + geo.ways);
+    // Overlapping buffers (the second starts inside the first) plus a
+    // disjoint one, so later ranges re-touch lines earlier ones left behind.
+    const std::uint64_t buffers[] = {0x10000, 0x10000 + 3 * geo.capacity / 2 + 24, 0x900000};
+    for (int call = 0; call < 2000; ++call) {
+      const std::uint32_t job = static_cast<std::uint32_t>(rng.next_below(kJobs));
+      const std::uint64_t base = buffers[rng.next_below(3)] + rng.next_below(4 * geo.capacity);
+      const std::uint64_t pick = rng.next_below(20);
+      if (pick == 0) {
+        fast.reset_stats();
+        oracle.reset_stats();
+      } else if (pick < 5) {
+        fast.access(base, job);
+        oracle.access(base, job);
+      } else {
+        // Shorter than, about, and far longer than the cache (num_sets x ways).
+        const std::size_t len = pick < 12 ? rng.next_below(geo.capacity) + 1
+                                : pick < 17 ? rng.next_below(3 * geo.capacity) + 1
+                                            : rng.next_below(8 * geo.capacity) + 1;
+        const std::uint32_t weight = static_cast<std::uint32_t>(rng.next_below(4));
+        fast.access_range(base, len, job, weight);
+        oracle.access_range(base, len, job, weight);
+      }
+      ASSERT_TRUE(same_stats(fast.total_stats(), oracle.total_stats())) << "call " << call;
+      for (std::uint32_t j = 0; j < kJobs; ++j) {
+        ASSERT_TRUE(same_stats(fast.job_stats(j), oracle.job_stats(j)))
+            << "call " << call << ", job " << j;
+      }
+    }
+  }
+}
+
+TEST(CacheSim, FastForwardLeavesLastWaysPerSetResident) {
+  // 4-way, 16 sets, 64 B lines: 64 lines of capacity.
+  CacheSim cache(16 * 4 * 64, 4, 64);
+  constexpr std::uint64_t kLines = 1000;
+  cache.access_range(0, kLines * 64, 0);
+  EXPECT_EQ(cache.total_stats().misses, kLines);
+  // The last 4 lines of every set are the range's last 64 lines: all hit.
+  cache.access_range((kLines - 64) * 64, 64 * 64, 1);
+  EXPECT_EQ(cache.job_stats(1).accesses, 64u);
+  EXPECT_EQ(cache.job_stats(1).misses, 0u);
+  // The range's first line was evicted long ago.
+  cache.access(0, 2);
+  EXPECT_EQ(cache.job_stats(2).misses, 1u);
 }
 
 TEST(PageCache, MissThenHit) {

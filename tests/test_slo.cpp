@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -177,21 +179,35 @@ TEST(WindowedHistogramConcurrency, RecordersRaceRotationWithoutLosingRetained) {
   // Writers sweep time forward together; every sample lands in the current
   // or previous slot, so none may be dropped and the final ring must hold
   // everything recorded in the last window span.
+  // Timestamps stay near-monotone, the precondition the window documents:
+  // writer t records ticks t, t + kThreads, ..., and runs at most kMaxLead
+  // samples ahead of the slowest writer. A preempted writer therefore
+  // trails the newest tick by under kMaxLead * kThreads + kThreads ticks,
+  // less than one 1000-tick sub-span. (A shared fetch_add clock let the
+  // other writers run arbitrarily far ahead of a preempted one.)
   WindowedHistogram w(4000, 4);
   constexpr int kThreads = 4;
-  std::atomic<std::uint64_t> clock{0};
+  constexpr std::uint64_t kPerThread = 5000;
+  constexpr std::uint64_t kMaxLead = 100;
+  std::array<std::atomic<std::uint64_t>, kThreads> done{};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 5000; ++i) {
-        const std::uint64_t now = clock.fetch_add(1, std::memory_order_relaxed);
-        w.record(now, 1);
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        for (;;) {
+          std::uint64_t slowest = kPerThread;
+          for (const auto& d : done) slowest = std::min(slowest, d.load());
+          if (i <= slowest + kMaxLead) break;
+          std::this_thread::yield();
+        }
+        w.record(i * kThreads + static_cast<std::uint64_t>(t), 1);
+        done[static_cast<std::size_t>(t)].store(i + 1);
       }
     });
   }
   for (auto& th : threads) th.join();
-  const std::uint64_t final_now = clock.load();
+  const std::uint64_t final_now = kPerThread * kThreads;
   // Everything recorded in the retained window is still there: the sweep
   // advanced by 1ns per sample, so the last span_ns() ticks are retained.
   EXPECT_EQ(w.dropped(), 0u);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <thread>
+
 #include "storage/store.hpp"
 #include "test_helpers.hpp"
 
@@ -94,6 +98,68 @@ TEST(PartitionedStore, GridAndShardExposeTheSameEdgeMultiset) {
     return keys;
   };
   EXPECT_EQ(collect(grid_store), collect(shard_store));
+}
+
+// Positional reads take no lock, so concurrent readers of one store (and of
+// several) must still get exactly the bytes a lone reader gets, for whole
+// partitions and for sub-ranges at arbitrary edge offsets.
+void expect_concurrent_reads_match(const std::vector<const PartitionedStore*>& stores) {
+  std::vector<std::vector<std::vector<graph::Edge>>> expected(stores.size());
+  for (std::size_t s = 0; s < stores.size(); ++s) {
+    sim::Platform platform;
+    for (std::uint32_t p = 0; p < stores[s]->meta().num_partitions; ++p) {
+      expected[s].emplace_back();
+      stores[s]->read_partition(p, expected[s].back(), platform, 0);
+    }
+  }
+
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint32_t kRounds = 40;
+  sim::Platform platform;
+  std::atomic<std::uint32_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<graph::Edge> buffer;
+      for (std::uint32_t r = 0; r < kRounds; ++r) {
+        // Even rounds: every thread on the same partition of the same store.
+        // Odd rounds: each thread on its own store/partition.
+        const std::size_t s = (r % 2 == 0 ? r / 2 : t + r) % stores.size();
+        const auto& parts = expected[s];
+        const std::uint32_t p =
+            static_cast<std::uint32_t>((r % 2 == 0 ? r / 2 : t * 3 + r) % parts.size());
+        const std::size_t edges = parts[p].size();
+        const std::size_t first = edges == 0 ? 0 : (t * 7 + r * 13) % edges;
+        buffer.assign(edges - first, graph::Edge{});
+        stores[s]->read_edges(p, first, edges - first, buffer.data(), platform, t);
+        if (!buffer.empty() && std::memcmp(buffer.data(), parts[p].data() + first,
+                                           buffer.size() * sizeof(graph::Edge)) != 0) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
+TEST(StoreConcurrentReads, GridMatchesSingleThreaded) {
+  const auto g = test::small_rmat(2048, 1 << 15);
+  const grid::GridStore store = test::make_grid(g, 4);
+  expect_concurrent_reads_match({&store});
+}
+
+TEST(StoreConcurrentReads, ShardMatchesSingleThreaded) {
+  const auto g = test::small_rmat(2048, 1 << 15);
+  const shard::ShardStore store = test::make_shards(g, 4);
+  expect_concurrent_reads_match({&store});
+}
+
+TEST(StoreConcurrentReads, GridAndShardAtOnce) {
+  const auto g = test::small_rmat(2048, 1 << 15);
+  const grid::GridStore grid_store = test::make_grid(g, 4);
+  const shard::ShardStore shard_store = test::make_shards(g, 3);
+  expect_concurrent_reads_match({&grid_store, &shard_store});
 }
 
 }  // namespace
