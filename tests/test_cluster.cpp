@@ -692,5 +692,133 @@ TEST(DeadlineSentinel, NormalizedZeroDeadlineDispatchesFirstNotLast) {
   EXPECT_EQ(dispatch_order, (std::vector<std::uint32_t>{0, 3, 2, 1}));
 }
 
+// ---------------------------------------------------------------------------
+// Golden pins for the admission paths the empty-plan pins in
+// test_cluster_faults.cpp (both kImmediate) never reach: batch release by k
+// and by timeout, EDF with deadline cancellation, adaptive shedding while the
+// SLO detector is Critical, and a crash that drains a held batch. The
+// constants were recorded before the admission policy moved into the shared
+// service::AdmissionCore; any change to admission order or timing moves them.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kGoldenBatchHash = 0x96b4826d97f62733ULL;
+constexpr std::uint64_t kGoldenEdfCancelHash = 0x7b3333d9f2e2a971ULL;
+constexpr std::uint64_t kGoldenAdaptiveHash = 0xb207d26e0f1c7397ULL;
+constexpr std::uint64_t kGoldenCrashDrainHash = 0x51f79ad0200eb5d7ULL;
+
+ClusterServiceConfig golden_admission_config() {
+  ClusterServiceConfig config;
+  config.des.seed = 0xAD31;
+  return config;
+}
+
+TEST(AdmissionPin, BatchReleasedByKThenByTimeout) {
+  const auto g = test_graph();
+  std::vector<BackendConfig> backends(1);
+  backends[0].dataset = "batched";
+  backends[0].num_nodes = 4;
+  backends[0].policy = service::AdmissionPolicy::kBatchUntilK;
+  backends[0].batch_k = 3;
+  backends[0].batch_max_wait_ns = 2'000'000;
+  ClusterService service(g, backends, golden_admission_config());
+
+  // Jobs 0-2 reach k at 0.6 ms; jobs 3-4 never reach k and leave on the
+  // timer 2 ms after job 3 arrived.
+  const auto stats = service.run(staggered_submissions(5, g, 300'000, "batched"));
+  EXPECT_EQ(stats[0].completed, 5u);
+  EXPECT_GE(stats[0].queue_wait.max_ns, 2e6);
+  EXPECT_EQ(service.last_trace_hash(), kGoldenBatchHash);
+}
+
+TEST(AdmissionPin, EdfWithPastDeadlineCancellation) {
+  const auto g = test_graph();
+  std::vector<BackendConfig> backends(1);
+  backends[0].dataset = "edf";
+  backends[0].num_nodes = 4;
+  backends[0].max_concurrent = 1;
+  backends[0].policy = service::AdmissionPolicy::kDeadline;
+  backends[0].cancel_past_deadline = true;
+  ClusterService service(g, backends, golden_admission_config());
+
+  auto submissions = staggered_submissions(6, g, 100'000, "edf");
+  // Job 0 takes the only slot. When it finishes (~1.9 ms), EDF sheds the
+  // two jobs already past their deadline, dispatches job 2 and aborts it
+  // mid-run, then runs the lax job 3 and the deadline-less job 4 last.
+  submissions[1].deadline_ns = service::deadline_from(submissions[1].arrival_ns, 1);
+  submissions[2].deadline_ns = 2'500'000;
+  submissions[3].deadline_ns = 50'000'000;
+  submissions[5].deadline_ns = service::deadline_from(submissions[5].arrival_ns, 0);
+  const auto stats = service.run(submissions);
+  const auto& reports = service.last_job_reports();
+  std::uint64_t shed = 0, aborted = 0;
+  for (const JobReport& r : reports) {
+    if (r.outcome == service::Outcome::kDeadlineShed) ++shed;
+    if (r.outcome == service::Outcome::kDeadlineAborted) ++aborted;
+  }
+  EXPECT_EQ(stats[0].completed, 3u);
+  EXPECT_EQ(shed, 2u);
+  EXPECT_EQ(aborted, 1u);
+  EXPECT_EQ(service.last_trace_hash(), kGoldenEdfCancelHash);
+}
+
+TEST(AdmissionPin, AdaptiveShedsWhileCritical) {
+  const auto g = test_graph();
+  std::vector<BackendConfig> backends(1);
+  backends[0].dataset = "slo";
+  backends[0].num_nodes = 4;
+  backends[0].max_concurrent = 1;
+  backends[0].policy = service::AdmissionPolicy::kAdaptive;
+  backends[0].adaptive_queue_quota = 1;
+  ClusterServiceConfig config = golden_admission_config();
+  obs::SloSpec spec;
+  spec.name = "e2e";
+  spec.threshold_ns = 0;  // every completion is a bad sample: Critical at once
+  spec.window_ns = 60'000'000;
+  spec.sub_windows = 6;
+  config.objectives = {spec};
+  ClusterService service(g, backends, config);
+
+  auto submissions = staggered_submissions(12, g, 300'000, "slo");
+  for (std::size_t j = 1; j < submissions.size(); j += 2) {
+    submissions[j].deadline_ns =
+        service::deadline_from(submissions[j].arrival_ns, 1'000'000'000);
+  }
+  const auto stats = service.run(submissions);
+  EXPECT_EQ(stats[0].completed, 7u);
+  EXPECT_EQ(stats[0].slo_shed, 5u);
+  EXPECT_EQ(service.last_trace_hash(), kGoldenAdaptiveHash);
+}
+
+TEST(AdmissionPin, CrashDrainsHeldBatchToReplica) {
+  const auto g = test_graph();
+  std::vector<BackendConfig> backends(2);
+  for (std::uint32_t b = 0; b < 2; ++b) {
+    backends[b].dataset = "d";
+    backends[b].num_nodes = 4;
+    backends[b].replica_id = b;
+    backends[b].policy = service::AdmissionPolicy::kBatchUntilK;
+    backends[b].batch_k = 8;                      // never reached
+    backends[b].batch_max_wait_ns = 20'000'000;  // outlasts dead detection
+  }
+  ClusterService service(g, backends, golden_admission_config());
+
+  FaultPlan plan;
+  FaultEvent crash;
+  crash.kind = FaultKind::kCrash;
+  crash.backend = 0;
+  crash.at_ns = 100'000;
+  crash.duration_ns = 0;  // permanent
+  plan.events.push_back(crash);
+  const auto stats = service.run(staggered_submissions(6, g, 300'000, "d"), plan);
+  const FaultStats& fstats = service.last_fault_stats();
+  // Backend 0 held jobs 0, 2 and 4 when it was declared dead; all three
+  // drain to the replica, which also releases its own batch on the timer.
+  EXPECT_EQ(fstats.failovers, 1u);
+  EXPECT_EQ(fstats.redispatched_jobs, 3u);
+  EXPECT_EQ(stats[0].completed, 0u);
+  EXPECT_EQ(stats[1].completed, 6u);
+  EXPECT_EQ(service.last_trace_hash(), kGoldenCrashDrainHash);
+}
+
 }  // namespace
 }  // namespace graphm::cluster
