@@ -39,7 +39,7 @@ inline sim::PlatformConfig bench_platform() {
   sim::PlatformConfig config;
   // The simulated LLC and memory shrink with the dataset scale so that the
   // paper's in-memory (LiveJ/Orkut/Twitter) vs out-of-core (UK-union/
-  // Clueweb12) split survives scaling (DESIGN.md section 4).
+  // Clueweb12) split survives scaling (sim/cost_model.hpp, graph/datasets.hpp).
   const double s = bench_scale();
   config.llc_bytes = std::max<std::size_t>(
       16 * 1024, static_cast<std::size_t>(256.0 * 1024 * s));

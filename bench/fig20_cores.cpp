@@ -1,7 +1,7 @@
 // Figure 20: 16 jobs on Twitter while varying the number of CPU cores
 // (1..16). The container has one physical core, so the compute term is
 // modeled as measured_serial_compute / cores on top of the (unchanged)
-// modeled memory/disk stalls — DESIGN.md section 2 records this substitution.
+// modeled memory/disk stalls — the time model in runtime/metrics.hpp.
 // Paper: -M is fastest at every core count, and the gap widens with cores
 // because the data-access share (which GraphM removes) limits the others.
 #include "bench_support.hpp"

@@ -1,5 +1,5 @@
-// Table 2: properties of the dataset stand-ins (DESIGN.md section 4 maps
-// each to the paper's graph and explains the scaling).
+// Table 2: properties of the dataset stand-ins (graph/datasets.hpp maps each
+// to the paper's graph; sim/cost_model.hpp explains the scaling).
 #include "bench_support.hpp"
 
 using namespace graphm;

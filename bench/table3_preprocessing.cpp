@@ -25,7 +25,7 @@ int main() {
     // The paper's conversion runs against a 1 TB HDD: the original edges are
     // read and the P x P block streams written back, at seek-degraded
     // bandwidth. Our measured conversion is in-memory, so the disk part is
-    // charged through the platform's cost model (DESIGN.md section 2).
+    // charged through the platform's cost model (sim/cost_model.hpp).
     // Note: since the block-batched streaming PR the measured conversion also
     // source-groups each block (GridStore::preprocess src_sort) — a real cost
     // of our grid format that the paper's GridGraph did not pay. It is a few

@@ -144,8 +144,9 @@ struct BackendState {
   const BackendConfig* config = nullptr;
   std::unique_ptr<BackendSim> sim;
 
-  std::deque<Ticket*> ready;
-  std::deque<Ticket*> held;  // kBatchUntilK only
+  /// The same admission policy the live service runs, on the simulated clock.
+  service::AdmissionCore<Ticket*> admission;
+  /// Bumped whenever a held batch leaves, voiding its pending release timer.
   std::uint64_t batch_epoch = 0;
   std::size_t running = 0;
 
@@ -154,26 +155,15 @@ struct BackendState {
   /// Overlapping crash windows: restart only when the last one clears.
   std::size_t crash_depth = 0;
 
-  std::uint64_t submitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t deadline_misses = 0;
-  std::uint64_t deadline_aborts = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t redispatched_in = 0;
-  std::uint64_t failover_shed = 0;
-  std::uint64_t slo_shed = 0;
-  std::uint64_t faults_injected = 0;
-  std::uint64_t crashes = 0;
+  /// Counters as the run goes; summaries and the sim economy added at the end.
+  BackendStats stats;
   std::vector<std::uint64_t> queue_wait_ns;
   std::vector<std::uint64_t> stream_ns;
   std::vector<std::uint64_t> e2e_ns;
   std::uint64_t first_arrival_ns = 0;
   std::uint64_t last_completion_ns = 0;
-  bool saw_arrival = false;
 
-  [[nodiscard]] std::size_t queued() const { return ready.size() + held.size(); }
-  [[nodiscard]] std::size_t outstanding() const { return queued() + running; }
+  [[nodiscard]] std::size_t outstanding() const { return admission.depth() + running; }
 };
 
 /// Everything one run() shares with its event closures. Stack-local in
@@ -222,20 +212,6 @@ void update_slo_capacity(RunContext& ctx) {
                         static_cast<double>(ctx.states.size()));
 }
 
-/// Index of the next job to dispatch under the backend's policy: EDF picks
-/// the tightest real deadline via the shared service::edf_deadline_key
-/// (deadline-less jobs — the service::kNoDeadline sentinel — last, FIFO
-/// among equals); everything else is FIFO. `ready` is in arrival order.
-std::size_t pick_next(const BackendState& state) {
-  if (!service::policy_uses_edf(state.config->policy)) return 0;
-  std::size_t best = 0;
-  auto key = [](const Ticket* t) { return service::edf_deadline_key(t->deadline_ns); };
-  for (std::size_t i = 1; i < state.ready.size(); ++i) {
-    if (key(state.ready[i]) < key(state.ready[best])) best = i;
-  }
-  return best;
-}
-
 void try_dispatch(RunContext& ctx, BackendState& state);
 void admit(RunContext& ctx, BackendState& state, Ticket* t, bool redispatch);
 void retry_later(RunContext& ctx, Ticket* t);
@@ -255,7 +231,7 @@ void finish(RunContext& ctx, Ticket* t, service::Outcome outcome) {
 /// spent. The one graceful-shed path (service::Outcome::kFailoverShed).
 void shed(RunContext& ctx, Ticket* t) {
   ++ctx.fstats.failover_shed;
-  if (t->backend != kNoBackend) ++ctx.states[t->backend].failover_shed;
+  if (t->backend != kNoBackend) ++ctx.states[t->backend].stats.failover_shed;
   ctx.loop.trace(TraceCode::kJobShed, t->backend, t->id, t->failover_attempts);
   finish(ctx, t, service::Outcome::kFailoverShed);
 }
@@ -268,8 +244,8 @@ void dispatch_one(RunContext& ctx, BackendState& state, Ticket* t) {
     // Shed at dispatch (JobService::cancel_past_deadline semantics): the
     // deadline passed while the job sat in the queue, so running it would
     // only burn the backend's disks and cores on a guaranteed miss.
-    ++state.deadline_misses;
-    ++state.deadline_aborts;
+    ++state.stats.deadline_misses;
+    ++state.stats.deadline_aborts;
     // As much an SLO violation as a mid-run abort: the request failed its
     // latency objective (it just failed it in the queue).
     if (ctx.slo != nullptr && ctx.slo->enabled()) {
@@ -291,25 +267,25 @@ void dispatch_one(RunContext& ctx, BackendState& state, Ticket* t) {
           // The backend crashed under the job. No slot freed up in any
           // useful sense (the whole backend is down), so no try_dispatch —
           // the job goes to the failover path instead.
-          ++state.failed;
+          ++state.stats.failed;
           if (state.running > 0) --state.running;
           retry_later(ctx, t);
           return;
         }
         state.last_completion_ns = std::max(state.last_completion_ns, completion);
         if (end == JobEnd::kAborted) {
-          ++state.deadline_misses;
-          ++state.deadline_aborts;
+          ++state.stats.deadline_misses;
+          ++state.stats.deadline_aborts;
           if (ctx.slo != nullptr && ctx.slo->enabled()) {
             ctx.slo->violation(state.config->dataset, completion);
           }
           finish(ctx, t, service::Outcome::kDeadlineAborted);
         } else {
-          ++state.completed;
+          ++state.stats.completed;
           state.stream_ns.push_back(completion - start_ns);
           state.e2e_ns.push_back(completion - t->arrival_ns);
           if (t->deadline_ns != service::kNoDeadline && completion > t->deadline_ns) {
-            ++state.deadline_misses;
+            ++state.stats.deadline_misses;
           }
           if (ctx.slo != nullptr && ctx.slo->enabled()) {
             ctx.slo->observe(state.config->dataset, completion,
@@ -326,21 +302,9 @@ void dispatch_one(RunContext& ctx, BackendState& state, Ticket* t) {
 void try_dispatch(RunContext& ctx, BackendState& state) {
   if (state.sim->crashed()) return;  // nothing dispatches into a dead machine
   while (state.running < std::max<std::size_t>(1, state.config->max_concurrent) &&
-         !state.ready.empty()) {
-    const std::size_t index = pick_next(state);
-    Ticket* t = state.ready[index];
-    state.ready.erase(state.ready.begin() + static_cast<std::ptrdiff_t>(index));
-    dispatch_one(ctx, state, t);
+         state.admission.has_ready()) {
+    dispatch_one(ctx, state, state.admission.take());
   }
-}
-
-void release_batch(RunContext& ctx, BackendState& state) {
-  ++state.batch_epoch;  // invalidates any pending flush timer
-  while (!state.held.empty()) {
-    state.ready.push_back(state.held.front());
-    state.held.pop_front();
-  }
-  try_dispatch(ctx, state);
 }
 
 /// Schedules the job's next failover attempt after a capped exponential
@@ -363,28 +327,37 @@ void retry_later(RunContext& ctx, Ticket* t) {
   });
 }
 
+/// The least-outstanding candidate that is not declared dead (ties: lowest
+/// index), also skipping crashed-but-undetected ones when `skip_crashed`;
+/// states.size() when there is none.
+std::size_t least_loaded(const std::deque<BackendState>& states,
+                         const std::vector<std::size_t>& candidates, bool skip_crashed) {
+  std::size_t best = states.size();
+  for (const std::size_t b : candidates) {
+    if (states[b].health == Health::kDead || (skip_crashed && states[b].sim->crashed())) {
+      continue;
+    }
+    if (best == states.size() || states[b].outstanding() < states[best].outstanding()) {
+      best = b;
+    }
+  }
+  return best;
+}
+
 /// Re-admits the job on the least-loaded live replica. "Live" here excludes
 /// both declared-dead backends and crashed-but-undetected ones — a failover
 /// retry already knows something is wrong, so it gets the stronger check
 /// fresh arrivals don't (those queue on an undetected crash and drain when
 /// the monitor declares it dead).
 void reroute(RunContext& ctx, Ticket* t) {
-  std::size_t best = ctx.states.size();
-  for (const std::size_t b : *t->candidates) {
-    BackendState& candidate = ctx.states[b];
-    if (candidate.health == Health::kDead || candidate.sim->crashed()) continue;
-    if (best == ctx.states.size() ||
-        candidate.outstanding() < ctx.states[best].outstanding()) {
-      best = b;
-    }
-  }
+  const std::size_t best = least_loaded(ctx.states, *t->candidates, /*skip_crashed=*/true);
   if (best == ctx.states.size()) {
     retry_later(ctx, t);  // nobody alive right now; back off and try again
     return;
   }
   BackendState& state = ctx.states[best];
   ++ctx.fstats.redispatched_jobs;
-  ++state.redispatched_in;
+  ++state.stats.redispatched_in;
   ctx.loop.trace(TraceCode::kJobRedispatched, state.backend_id, t->id,
                  t->failover_attempts);
   admit(ctx, state, t, /*redispatch=*/true);
@@ -394,11 +367,7 @@ void admit(RunContext& ctx, BackendState& state, Ticket* t, bool redispatch) {
   EventLoop& loop = ctx.loop;
   t->backend = state.backend_id;
   if (!redispatch) {
-    ++state.submitted;
-    if (!state.saw_arrival) {
-      state.saw_arrival = true;
-      state.first_arrival_ns = loop.now_ns();
-    }
+    if (state.stats.submitted++ == 0) state.first_arrival_ns = loop.now_ns();
     if (ctx.slo != nullptr && ctx.slo->enabled()) {
       // The detector is consulted at every arrival (tracking alone — the
       // evaluation is pure computation, no events, no randomness); only
@@ -408,49 +377,47 @@ void admit(RunContext& ctx, BackendState& state, Ticket* t, bool redispatch) {
       // fast window cooling below reopen_burn flips the state back.
       const obs::SloState slo_state = evaluate_slo(ctx, state);
       if (state.config->policy == service::AdmissionPolicy::kAdaptive &&
-          slo_state == obs::SloState::kCritical) {
-        const std::size_t quota =
-            state.config->adaptive_queue_quota != 0
-                ? state.config->adaptive_queue_quota
-                : std::max<std::size_t>(1, state.config->max_concurrent);
-        if (t->deadline_ns == service::kNoDeadline || state.queued() >= quota) {
-          ++state.slo_shed;
-          ++ctx.fstats.slo_shed;
-          ctx.slo->count_shed(state.config->dataset);
-          loop.trace(TraceCode::kJobSloShed, state.backend_id, t->id,
-                     static_cast<std::uint64_t>(ctx.slo->worst_eval().fast_burn * 1e3));
-          finish(ctx, t, service::Outcome::kSloShed);
-          return;
-        }
+          slo_state == obs::SloState::kCritical &&
+          service::adaptive_sheds(t->deadline_ns, state.admission.depth(),
+                                  state.config->adaptive_queue_quota,
+                                  state.config->max_concurrent)) {
+        ++state.stats.slo_shed;
+        ++ctx.fstats.slo_shed;
+        ctx.slo->count_shed(state.config->dataset);
+        loop.trace(TraceCode::kJobSloShed, state.backend_id, t->id,
+                   static_cast<std::uint64_t>(ctx.slo->worst_eval().fast_burn * 1e3));
+        finish(ctx, t, service::Outcome::kSloShed);
+        return;
       }
     }
-    if (state.queued() >= std::max<std::size_t>(1, state.config->max_queue_depth)) {
-      ++state.rejected;
-      loop.trace(TraceCode::kJobRejected, state.backend_id, t->id, state.queued());
+    const service::Admitted admitted = state.admission.push(t, t->deadline_ns, loop.now_ns());
+    if (admitted == service::Admitted::kRejected) {
+      ++state.stats.rejected;
+      loop.trace(TraceCode::kJobRejected, state.backend_id, t->id, state.admission.depth());
       finish(ctx, t, service::Outcome::kRejected);
       return;
     }
-    if (state.config->policy == service::AdmissionPolicy::kBatchUntilK) {
-      state.held.push_back(t);
-      if (state.held.size() >= std::max<std::size_t>(1, state.config->batch_k)) {
-        release_batch(ctx, state);
-      } else if (state.held.size() == 1) {
+    if (admitted == service::Admitted::kHeld) {
+      if (state.admission.held() == 1) {
         // The batch timer caps how long the oldest held job waits; a release
         // in the meantime bumps the epoch and turns this into a no-op.
         const std::uint64_t epoch = state.batch_epoch;
-        loop.schedule_after(state.config->batch_max_wait_ns, [&ctx, &state, epoch] {
-          if (state.batch_epoch == epoch && !state.held.empty()) {
-            release_batch(ctx, state);
-          }
+        loop.schedule_at(state.admission.release_at(), [&ctx, &state, epoch] {
+          if (state.batch_epoch != epoch || !state.admission.holding()) return;
+          ++state.batch_epoch;
+          state.admission.release();
+          try_dispatch(ctx, state);
         });
       }
       return;
     }
+    if (admitted == service::Admitted::kReleased) ++state.batch_epoch;  // its timer is moot
+  } else {
+    // Failover re-admissions skip batching (they have waited enough) and the
+    // depth bound (a drained queue must land somewhere, or jobs would be lost
+    // to backpressure through no fault of the client's pacing).
+    state.admission.push_ready(t, t->deadline_ns);
   }
-  // Failover re-admissions skip batching (they have waited enough) and the
-  // depth bound (a drained queue must land somewhere, or jobs would be lost
-  // to backpressure through no fault of the client's pacing).
-  state.ready.push_back(t);
   try_dispatch(ctx, state);
 }
 
@@ -461,15 +428,9 @@ void declare_dead(RunContext& ctx, BackendState& state) {
   state.health = Health::kDead;
   ++ctx.fstats.failovers;
   ctx.loop.trace(TraceCode::kBackendDead, state.backend_id, 0,
-                 static_cast<std::uint64_t>(state.queued()));
+                 static_cast<std::uint64_t>(state.admission.depth()));
   ++state.batch_epoch;  // cancels any pending batch-release timer
-  std::deque<Ticket*> drained;
-  drained.swap(state.ready);
-  while (!state.held.empty()) {
-    drained.push_back(state.held.front());
-    state.held.pop_front();
-  }
-  for (Ticket* t : drained) {
+  for (Ticket* t : state.admission.drain_all()) {
     if (!t->terminal) reroute(ctx, t);
   }
   update_slo_capacity(ctx);
@@ -525,13 +486,13 @@ void monitor_tick(RunContext& ctx) {
 void apply_fault(RunContext& ctx, const FaultEvent& fault) {
   BackendState& state = ctx.states[fault.backend];
   ++ctx.fstats.faults_injected;
-  ++state.faults_injected;
+  ++state.stats.faults_injected;
   ctx.loop.trace(TraceCode::kFaultInjected, fault.backend, 0,
                  static_cast<std::uint64_t>(fault.kind));
   switch (fault.kind) {
     case FaultKind::kCrash:
       ++ctx.fstats.crashes;
-      ++state.crashes;
+      ++state.stats.crashes;
       ++state.crash_depth;
       // crash() fails every in-flight job; their completion handlers run
       // synchronously here and queue the failover retries.
@@ -593,6 +554,10 @@ std::vector<BackendStats> ClusterService::run(const std::vector<Submission>& sub
     BackendState& state = states.back();
     state.backend_id = static_cast<std::uint32_t>(b);
     state.config = &backends_[b];
+    // The DES has always treated a zero depth bound as one slot.
+    state.admission = service::AdmissionCore<Ticket*>(
+        {backends_[b].policy, std::max<std::size_t>(1, backends_[b].max_queue_depth),
+         backends_[b].batch_k, backends_[b].batch_max_wait_ns});
     if (placement_cache_[b].edge_share.empty()) {
       placement_cache_[b] = vertex_cut_placement(shards_[shard], backends_[b].num_nodes);
     }
@@ -661,14 +626,7 @@ std::vector<BackendStats> ClusterService::run(const std::vector<Submission>& sub
         }
         candidates = &shard_replicas_[backend_shard_[named]];
       }
-      std::size_t target = states.size();
-      for (const std::size_t b : *candidates) {
-        if (states[b].health == Health::kDead) continue;
-        if (target == states.size() ||
-            states[b].outstanding() < states[target].outstanding()) {
-          target = b;
-        }
-      }
+      const std::size_t target = least_loaded(states, *candidates, /*skip_crashed=*/false);
       ctx.tickets.emplace_back();
       Ticket* t = &ctx.tickets.back();
       t->id = id;
@@ -697,27 +655,16 @@ std::vector<BackendStats> ClusterService::run(const std::vector<Submission>& sub
   report.reserve(states.size());
   for (std::size_t b = 0; b < states.size(); ++b) {
     BackendState& state = states[b];
-    BackendStats stats;
+    BackendStats stats = std::move(state.stats);
     stats.dataset = backends_[b].dataset;
     stats.engine = backends_[b].engine;
     stats.shard = static_cast<std::uint32_t>(backend_shard_[b]);
     stats.replica_id = backends_[b].replica_id;
-    stats.submitted = state.submitted;
-    stats.rejected = state.rejected;
-    stats.completed = state.completed;
-    stats.deadline_misses = state.deadline_misses;
-    stats.deadline_aborts = state.deadline_aborts;
-    stats.failed = state.failed;
-    stats.redispatched_in = state.redispatched_in;
-    stats.failover_shed = state.failover_shed;
-    stats.slo_shed = state.slo_shed;
-    stats.faults_injected = state.faults_injected;
-    stats.crashes = state.crashes;
     stats.queue_wait = service::summarize_latency(std::move(state.queue_wait_ns));
     stats.stream_time = service::summarize_latency(std::move(state.stream_ns));
     stats.e2e = service::summarize_latency(std::move(state.e2e_ns));
     stats.sustained_jobs_per_s = service::sustained_jobs_per_s(
-        state.completed, state.first_arrival_ns, state.last_completion_ns);
+        stats.completed, state.first_arrival_ns, state.last_completion_ns);
     stats.structure_loads = state.sim->structure_loads();
     stats.network_gb = state.sim->network_bytes() / 1e9;
     stats.disk_gb = state.sim->disk_bytes() / 1e9;

@@ -6,10 +6,10 @@
 // The dataset is sharded by contiguous source ranges (balanced by edge
 // count), one shard per backend; a submission names its dataset shard and is
 // routed to the backend serving it (unnamed submissions go to the least
-// loaded backend at arrival). Each backend applies its own admission policy —
-// the same kImmediate / kBatchUntilK / kDeadline semantics as
-// service::AdmissionQueue, re-expressed event-driven — ahead of a bounded
-// dispatch-slot pool, and jobs then execute as message-level DES runs
+// loaded backend at arrival). Each backend drives the shared admission core
+// (service::AdmissionCore, the policy service::AdmissionQueue also wraps) on
+// the simulated clock, ahead of a bounded dispatch-slot pool; only the batch
+// release timer is its own. Jobs then execute as message-level DES runs
 // (BackendSim): GraphM-per-node backends (shared_structure = true) load or
 // stream the shard once and attach later arrivals, private backends pay per
 // job. Per backend the service reports the same queue-wait / stream / e2e

@@ -1,4 +1,5 @@
-// Registry of the Table-2 dataset stand-ins (DESIGN.md section 4).
+// Registry of the Table-2 dataset stand-ins, about 1000x smaller than the
+// paper's graphs; sim/cost_model.hpp scales the simulated platform to match.
 //
 // Each dataset is generated deterministically on first use and cached as an
 // edge-list binary under a cache directory, so every bench and test sees the

@@ -1,9 +1,9 @@
 // Deterministic synthetic graph generators.
 //
 // The paper's public crawls (LiveJ, Orkut, Twitter, UK-union, Clueweb12) are
-// not shippable; DESIGN.md section 2 explains how scaled RMAT / Chung-Lu /
-// Erdős–Rényi stand-ins preserve the properties GraphM's results depend on
-// (degree skew and size relative to LLC/memory).
+// not shippable. Scaled RMAT / Chung-Lu / Erdős–Rényi stand-ins (datasets.hpp,
+// with the platform scaled alike in sim/cost_model.hpp) preserve the degree
+// skew and the size relative to LLC/memory that GraphM's results depend on.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,7 @@
 #include "runtime/executor.hpp"
 
-#include <latch>
-#include <memory>
+#include <chrono>
 #include <thread>
-
-#include "util/timer.hpp"
 
 namespace graphm::runtime {
 
@@ -17,121 +14,66 @@ const char* scheme_name(Scheme scheme) {
   return "?";
 }
 
-namespace {
-
-struct JobSlot {
-  JobOutcome outcome;
-};
-
-void finalize_metrics(RunMetrics& metrics, const sim::Platform& platform,
-                      const ExecutorConfig& config, std::size_t num_jobs) {
-  metrics.llc = platform.llc().total_stats();
-  metrics.io = platform.page_cache().total_stats();
-  metrics.io_stall_ns = metrics.io.virtual_io_ns;
-  metrics.peak_memory_bytes = platform.memory().peak_total();
-  metrics.peak_graph_memory_bytes =
-      platform.memory().peak(sim::MemoryCategory::kGraphStructure);
-  metrics.peak_job_memory_bytes = platform.memory().peak(sim::MemoryCategory::kJobSpecific);
-  metrics.peak_table_memory_bytes = platform.memory().peak(sim::MemoryCategory::kChunkTables);
-
-  std::vector<std::uint32_t> job_ids(num_jobs);
-  for (std::size_t j = 0; j < num_jobs; ++j) job_ids[j] = static_cast<std::uint32_t>(j);
-  metrics.average_lpi = platform.average_lpi(job_ids);
-
-  std::uint64_t mem_stall_total = 0;
-  metrics.modeled_cores = config.modeled_cores;
-  for (std::size_t j = 0; j < num_jobs; ++j) {
-    const auto cache = platform.llc().job_stats(static_cast<std::uint32_t>(j));
-    const auto stall = static_cast<std::uint64_t>(static_cast<double>(cache.misses) *
-                                                  config.dram_latency_s * 1e9);
-    metrics.jobs[j].mem_stall_ns = stall;
-    metrics.jobs[j].modeled_cores = config.modeled_cores;
-    mem_stall_total += stall;
-    metrics.compute_ns += metrics.jobs[j].stats.compute_ns;
-  }
-  metrics.mem_stall_ns = mem_stall_total;
-}
-
-}  // namespace
-
 RunMetrics run_jobs(Scheme scheme, const storage::PartitionedStore& store,
                     const std::vector<algos::JobSpec>& jobs, const ExecutorConfig& config) {
   RunMetrics metrics;
   metrics.scheme = scheme_name(scheme);
-  metrics.jobs.resize(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) metrics.jobs[j].spec = jobs[j];
+  metrics.modeled_cores = config.modeled_cores;
   if (jobs.empty()) return metrics;
 
-  sim::Platform platform(config.platform);
-  grid::StreamEngine engine(store, platform, config.stream);
+  const bool staggered = scheme != Scheme::kSequential && !config.arrival_offsets_ns.empty();
+  service::ServiceConfig settings = config;
+  settings.mode =
+      scheme == Scheme::kShared ? service::ExecMode::kShared : service::ExecMode::kIsolated;
+  settings.workers = scheme == Scheme::kSequential ? 1 : jobs.size();
+  settings.policy = staggered ? service::AdmissionPolicy::kImmediate
+                              : service::AdmissionPolicy::kBatchUntilK;
+  settings.batch_k = jobs.size();
+  settings.max_queue_depth = jobs.size();
+  settings.graphm.allow_mid_round_attach = false;  // strict round membership
+  // GraphM's labelling runs in the constructor, before the measured run (it
+  // is the separate Table-3 experiment), and its chunk tables stay resident.
+  service::JobService svc(store, std::move(settings));
 
-  // GraphM is initialized before the measured run (the labelling cost is the
-  // separate Table-3 experiment) and its chunk tables stay resident.
-  std::unique_ptr<core::GraphM> graphm;
-  if (scheme == Scheme::kShared) {
-    graphm = std::make_unique<core::GraphM>(store, platform, config.graphm);
-    graphm->init();
-    // Labelling I/O is preprocessing (Table 3), and the pages it touched must
-    // not warm the run: every scheme starts from a cold page cache.
-    platform.page_cache().reset();
+  // Open-loop replay: job j is submitted once its offset has elapsed (a
+  // missing offset is 0).
+  const std::uint64_t t0 = svc.now_ns();
+  std::vector<service::JobHandle> handles;
+  handles.reserve(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (staggered && j < config.arrival_offsets_ns.size()) {
+      const std::uint64_t due = t0 + config.arrival_offsets_ns[j];
+      const std::uint64_t now = svc.now_ns();
+      if (due > now) std::this_thread::sleep_for(std::chrono::nanoseconds(due - now));
+    }
+    handles.push_back(svc.submit(jobs[j]));
+  }
+  svc.drain();
+  metrics.makespan_wall_ns = svc.now_ns() - t0;
+
+  std::vector<std::uint32_t> job_ids;
+  for (const service::JobHandle& handle : handles) {
+    const service::JobRecord& record = handle.await();
+    JobOutcome& outcome = metrics.jobs.emplace_back(record.outcome);
+    // A batch submitted together arrives at t=0 of the run clock.
+    outcome.arrival_ns = staggered ? outcome.arrival_ns - t0 : 0;
+    outcome.start_ns -= t0;
+    outcome.completion_ns -= t0;
+    metrics.compute_ns += outcome.stats.compute_ns;
+    metrics.mem_stall_ns += outcome.mem_stall_ns;
+    job_ids.push_back(record.job_id);
   }
 
-  const util::Timer* run_wall = nullptr;  // the measured run clock (set below)
-  auto run_one = [&](std::size_t index, std::latch* start_line) {
-    const auto job_id = static_cast<std::uint32_t>(index);
-    auto algorithm = algos::make_algorithm(jobs[index]);
-    std::unique_ptr<grid::PartitionLoader> loader;
-    if (scheme == Scheme::kShared) {
-      loader = graphm->make_loader(job_id);
-    } else {
-      loader = std::make_unique<grid::DefaultLoader>(store, platform);
-    }
-    if (start_line != nullptr) {
-      // Jobs submitted together really do run together: without this, a
-      // single-core host could run one short job to completion before the
-      // next thread is even scheduled, hiding the concurrent footprint that
-      // the -C scheme is supposed to exhibit (and the overlap -M exploits).
-      start_line->arrive_and_wait();
-    }
-    metrics.jobs[index].start_ns = run_wall->elapsed_ns();
-    metrics.jobs[index].stats = engine.run_job(job_id, *algorithm, *loader);
-    metrics.jobs[index].completion_ns = run_wall->elapsed_ns();
-    if (config.record_results) metrics.jobs[index].result = algorithm->result();
-  };
-
-  util::Timer wall;
-  run_wall = &wall;
-  if (scheme == Scheme::kSequential) {
-    // The whole batch is submitted up front (arrival 0 for everyone), so a
-    // job's latency includes the time spent waiting for its predecessors —
-    // the per-job-sequential baseline the service benches compare against.
-    for (std::size_t j = 0; j < jobs.size(); ++j) run_one(j, nullptr);
-  } else {
-    const bool staggered = !config.arrival_offsets_ns.empty();
-    std::latch start_line(static_cast<std::ptrdiff_t>(jobs.size()));
-    std::vector<std::thread> threads;
-    threads.reserve(jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      threads.emplace_back([&, j] {
-        if (staggered) {
-          if (j < config.arrival_offsets_ns.size() && config.arrival_offsets_ns[j] != 0) {
-            std::this_thread::sleep_for(
-                std::chrono::nanoseconds(config.arrival_offsets_ns[j]));
-          }
-          // Open-loop replay: the job "arrives" when its offset elapses.
-          metrics.jobs[j].arrival_ns = wall.elapsed_ns();
-          run_one(j, nullptr);
-        } else {
-          run_one(j, &start_line);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  metrics.makespan_wall_ns = wall.elapsed_ns();
-
-  if (graphm) metrics.sharing = graphm->controller().stats();
-  finalize_metrics(metrics, platform, config, jobs.size());
+  const sim::Platform& platform = svc.platform();
+  metrics.llc = platform.llc().total_stats();
+  metrics.io = platform.page_cache().total_stats();
+  metrics.io_stall_ns = metrics.io.virtual_io_ns;
+  metrics.peak_memory_bytes = platform.memory().peak_total();
+  metrics.peak_graph_memory_bytes = platform.memory().peak(sim::MemoryCategory::kGraphStructure);
+  metrics.peak_job_memory_bytes = platform.memory().peak(sim::MemoryCategory::kJobSpecific);
+  metrics.peak_table_memory_bytes = platform.memory().peak(sim::MemoryCategory::kChunkTables);
+  metrics.average_lpi = platform.average_lpi(job_ids);
+  metrics.sharing = svc.sharing_stats();
   return metrics;
 }
 

@@ -5,19 +5,22 @@
 //   kShared      ("GridGraph-M"): all jobs at once through one GraphM
 //                                  instance (shared buffers, common order,
 //                                  chunk-grained sync).
-// Every run gets a fresh simulated Platform so the hardware-counter style
-// metrics are directly comparable across schemes.
+// run_jobs is a thin adapter over service::JobService, the one execution
+// path: -S is kIsolated with one worker (offsets ignored), -C kIsolated and
+// -M kShared with a worker per job and mid-round attach off (the paper's
+// strict rounds). Without offsets the batch is admitted batch-until-k with
+// k = the job count, so it starts together; with offsets each job is
+// submitted as its offset elapses. Every run gets a fresh service and
+// Platform, so the hardware-counter style metrics compare across schemes.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "algos/factory.hpp"
-#include "graphm/graphm.hpp"
 #include "grid/grid_store.hpp"
 #include "runtime/metrics.hpp"
-#include "sim/cost_model.hpp"
+#include "service/job_service.hpp"
 
 namespace graphm::runtime {
 
@@ -25,22 +28,19 @@ enum class Scheme : int { kSequential = 0, kConcurrent = 1, kShared = 2 };
 
 const char* scheme_name(Scheme scheme);
 
-struct ExecutorConfig {
-  sim::PlatformConfig platform;
-  core::GraphMOptions graphm;
-  grid::StreamConfig stream;
-  bool record_results = false;  // keep final vertex values in the outcome
-  /// Optional per-job submission offsets in ns (same length as jobs). Empty
-  /// means submit everything at t=0 (kSequential ignores offsets).
+/// The service settings of the run (platform, GraphM options, stream
+/// threads, record_results, the time-model constants, ...). The scheme
+/// decides mode, workers, policy, batch_k, max_queue_depth and
+/// graphm.allow_mid_round_attach; whatever is set there is overridden.
+struct ExecutorConfig : service::ServiceConfig {
+  /// Optional per-job submission offsets in ns (same length as jobs,
+  /// non-decreasing; jobs are submitted in order). Empty means submit
+  /// everything at t=0 (kSequential ignores offsets).
   std::vector<std::uint64_t> arrival_offsets_ns;
-  /// DRAM latency charged per simulated LLC miss.
-  double dram_latency_s = 150e-9;
-  /// Core count of the modeled machine (the paper's server has 16); divides
-  /// compute and DRAM-stall time in the reported totals (see metrics.hpp).
-  std::uint32_t modeled_cores = 16;
 };
 
-/// Runs `jobs` on `store` under `scheme` and returns the full metrics.
+/// Runs `jobs` on `store` under `scheme` and returns the full metrics. Job
+/// timestamps are rebased to t=0 just before the first submission.
 RunMetrics run_jobs(Scheme scheme, const storage::PartitionedStore& store,
                     const std::vector<algos::JobSpec>& jobs, const ExecutorConfig& config = {});
 

@@ -1,9 +1,8 @@
 // Per-run metrics: everything the paper's evaluation figures report, gathered
 // from the simulated platform and the measured job timings.
 //
-// Time model (DESIGN.md section 2). The host has fewer cores than the
-// paper's 16, so the reported execution time composes measured and modeled
-// terms explicitly:
+// Time model. The host has fewer cores than the paper's 16, so the reported
+// execution time composes measured and modeled terms explicitly:
 //     ( measured compute  +  modeled DRAM stall  +  modeled sync cost ) / N
 //   +   modeled disk stall
 // where N is the modeled core count (16, like the paper's machine):
@@ -36,12 +35,10 @@ struct JobOutcome {
   std::vector<double> result;      // final vertex values (optional)
   std::uint64_t mem_stall_ns = 0;  // this job's modeled DRAM stall
   std::uint32_t modeled_cores = 16;
-  /// Measured per-job lifecycle on the run's wall clock (t=0 at the run
-  /// start): when the job was submitted, when it actually started executing,
-  /// and when it finished. The service layer's SLO reporting is built on
-  /// latency = completion − arrival; the executor fills the same fields so
-  /// batch runs report per-job latency percentiles through the same stats
-  /// module (service::latency_from_outcomes).
+  /// Measured per-job lifecycle on the JobService clock: submission, start
+  /// of execution, finish. SLO reporting is built on latency = completion −
+  /// arrival; batch runs (runtime::run_jobs) rebase them to t=0 at the batch
+  /// start and report through the same module (service::latency_from_outcomes).
   std::uint64_t arrival_ns = 0;
   std::uint64_t start_ns = 0;
   std::uint64_t completion_ns = 0;

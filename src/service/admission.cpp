@@ -28,60 +28,60 @@ const char* outcome_name(Outcome outcome) {
   return "?";
 }
 
-AdmissionQueue::AdmissionQueue(Config config) : config_(config) {}
+bool adaptive_sheds(std::uint64_t deadline_ns, std::size_t depth, std::size_t quota,
+                    std::size_t slots) {
+  const std::size_t limit = quota != 0 ? quota : std::max<std::size_t>(1, slots);
+  return deadline_ns == kNoDeadline || depth >= limit;
+}
+
+void BatchStartLine::join() {
+  MutexLock lock(mutex_);
+  ++members_;
+}
+
+void BatchStartLine::arrive(std::size_t quorum, bool wait) {
+  MutexLock lock(mutex_);
+  ++arrived_;
+  cv_.notify_all();
+  if (!wait) return;
+  while (arrived_ < std::min(quorum, members_)) lock.wait(cv_);
+}
+
+AdmissionQueue::AdmissionQueue(Config config) : core_(config) {}
 
 bool AdmissionQueue::push(JobRecordPtr job, std::uint64_t now_ns) {
   MutexLock lock(mutex_);
   if (closed_) return false;
-  if (ready_.size() + held_.size() >= config_.max_depth) return false;
-  if (config_.policy == AdmissionPolicy::kBatchUntilK && config_.batch_k > 1) {
-    if (held_.empty()) oldest_held_arrival_ns_ = now_ns;
-    held_.push_back(std::move(job));
-    if (held_.size() >= config_.batch_k) {
-      // Threshold reached: the whole batch becomes dispatchable at once, so
-      // it enters the sharing group at a single point in the stream.
-      for (JobRecordPtr& held : held_) ready_.push_back(std::move(held));
-      held_.clear();
-    }
-  } else {
-    ready_.push_back(std::move(job));
+  JobRecord& record = *job;
+  const Admitted admitted = core_.push(std::move(job), record.deadline_ns, now_ns);
+  if (admitted == Admitted::kRejected) return false;
+  if (admitted == Admitted::kHeld || admitted == Admitted::kReleased) {
+    if (open_batch_ == nullptr) open_batch_ = std::make_shared<BatchStartLine>();
+    open_batch_->join();
+    record.start_line = open_batch_;
+    if (admitted == Admitted::kReleased) open_batch_.reset();
   }
   cv_.notify_all();
   return true;
 }
 
-JobRecordPtr AdmissionQueue::take_locked() {
-  if (policy_uses_edf(config_.policy)) {
-    // EDF: tightest deadline first; deadline-less jobs (the kNoDeadline
-    // sentinel, mapped to +inf by the shared key) last; FIFO (queue order)
-    // among equals.
-    auto best = ready_.begin();
-    auto key = [](const JobRecordPtr& job) { return edf_deadline_key(job->deadline_ns); };
-    for (auto it = std::next(ready_.begin()); it != ready_.end(); ++it) {
-      if (key(*it) < key(*best)) best = it;
-    }
-    JobRecordPtr job = std::move(*best);
-    ready_.erase(best);
-    return job;
-  }
-  JobRecordPtr job = std::move(ready_.front());
-  ready_.pop_front();
-  return job;
+void AdmissionQueue::release_locked() {
+  core_.release();
+  open_batch_.reset();
 }
 
 JobRecordPtr AdmissionQueue::pop(const std::function<std::uint64_t()>& now_ns) {
   MutexLock lock(mutex_);
   for (;;) {
-    if (!ready_.empty()) return take_locked();
-    if (!held_.empty()) {
+    if (core_.has_ready()) return core_.take();
+    if (core_.holding()) {
       // A partial batch: dispatch anyway once the oldest member has waited
       // out the batch window (bounded added latency), otherwise sleep until
       // that moment or a state change.
       const std::uint64_t now = now_ns();
-      const std::uint64_t release_at = oldest_held_arrival_ns_ + config_.batch_max_wait_ns;
+      const std::uint64_t release_at = core_.release_at();
       if (closed_ || now >= release_at) {
-        for (JobRecordPtr& held : held_) ready_.push_back(std::move(held));
-        held_.clear();
+        release_locked();
         continue;
       }
       lock.wait_for(cv_, std::chrono::nanoseconds(release_at - now));
@@ -94,8 +94,7 @@ JobRecordPtr AdmissionQueue::pop(const std::function<std::uint64_t()>& now_ns) {
 
 void AdmissionQueue::flush() {
   MutexLock lock(mutex_);
-  for (JobRecordPtr& held : held_) ready_.push_back(std::move(held));
-  held_.clear();
+  release_locked();
   cv_.notify_all();
 }
 
@@ -107,7 +106,7 @@ void AdmissionQueue::close() {
 
 std::size_t AdmissionQueue::depth() const {
   MutexLock lock(mutex_);
-  return ready_.size() + held_.size();
+  return core_.depth();
 }
 
 bool AdmissionQueue::closed() const {

@@ -21,8 +21,8 @@
 //                    instead of queued, and admission re-opens hysteretically
 //                    when the burn cools (docs/observability.md, "SLOs and
 //                    error budgets"). The queue itself only provides the
-//                    ordering — the shedding decisions live in the services,
-//                    which own the monitor.
+//                    ordering and the shed rule (adaptive_sheds); the
+//                    services own the monitor and decide when it applies.
 //
 // Backpressure: the queue is bounded (max_depth); submissions beyond it are
 // rejected at submit() so an overloaded service sheds load at the edge
@@ -83,11 +83,11 @@ const char* outcome_name(Outcome outcome);
 // deadline_ns is an absolute clock value and 0 is the reserved "no deadline"
 // sentinel — EDF sorts it last and it can never be missed or aborted. The
 // helpers below are the single definition of that convention; both EDF
-// queues (AdmissionQueue::take_locked and the cluster service's pick_next)
-// sort through edf_deadline_key, and deadline_from() is how real deadlines
-// are derived from now + slo, clamping away the one value (0) that would
-// otherwise silently turn a genuine time-zero deadline into "infinitely
-// lax".
+// users (the live AdmissionQueue and the cluster service's backends) take
+// through AdmissionCore, which sorts by edf_deadline_key, and
+// deadline_from() is how real deadlines are derived from now + slo, clamping
+// away the one value (0) that would otherwise silently turn a genuine
+// time-zero deadline into "infinitely lax".
 // ---------------------------------------------------------------------------
 
 /// The "no deadline" sentinel.
@@ -113,6 +113,24 @@ inline constexpr std::uint64_t kNoDeadline = 0;
 
 enum class JobState : int { kQueued = 0, kRunning = 1, kDone = 2, kCancelled = 3, kRejected = 4 };
 
+/// Where the members of one kBatchUntilK batch wait, once set up, for each
+/// other. Release alone does not make them run together: on a host that
+/// runs one worker at a time, a short job can finish before the next worker
+/// is scheduled, and the batch then shares nothing.
+class BatchStartLine {
+ public:
+  void join();
+  /// Marks one member set up; with `wait`, blocks until min(quorum, members)
+  /// have. Callers pass their worker count: later members cannot start yet.
+  void arrive(std::size_t quorum, bool wait);
+
+ private:
+  Mutex mutex_;
+  std::condition_variable cv_;
+  std::size_t members_ GUARDED_BY(mutex_) = 0;
+  std::size_t arrived_ GUARDED_BY(mutex_) = 0;
+};
+
 /// Shared record of one submitted job: the submission parameters, lifecycle
 /// timestamps on the service clock, and the outcome. Owned jointly by the
 /// service and the client's JobHandle.
@@ -127,6 +145,8 @@ struct JobRecord {
   runtime::JobOutcome outcome;  // timestamps, engine stats, optional result
   std::uint64_t modeled_latency_ns = 0;
   bool missed_deadline = false;
+  /// Set under the queue lock when the job is held for a batch.
+  std::shared_ptr<BatchStartLine> start_line;
 
   std::atomic<JobState> state{JobState::kQueued};
   Mutex mutex;
@@ -140,14 +160,113 @@ struct JobRecord {
 
 using JobRecordPtr = std::shared_ptr<JobRecord>;
 
+/// Admission settings shared by the live queue and the simulated backends.
+struct AdmissionConfig {
+  AdmissionPolicy policy = AdmissionPolicy::kImmediate;
+  std::size_t max_depth = 1024;
+  std::size_t batch_k = 4;
+  std::uint64_t batch_max_wait_ns = 50'000'000;  // 50 ms
+};
+
+/// What AdmissionCore::push did with a fresh arrival.
+enum class Admitted : int {
+  kRejected = 0,  // the queue is at max_depth: the backpressure reject
+  kReady = 1,     // dispatchable now
+  kHeld = 2,      // held for its batch (held() == 1: it opened the batch)
+  kReleased = 3,  // it completed a batch of k: the whole batch is ready
+};
+
+/// kAdaptive's shed rule while an SLO objective is Critical: deadline-less
+/// arrivals always shed, deadlined ones once the queue depth reaches the
+/// quota. A quota of 0 means one dispatch round, i.e. `slots`.
+[[nodiscard]] bool adaptive_sheds(std::uint64_t deadline_ns, std::size_t depth,
+                                  std::size_t quota, std::size_t slots);
+
+/// The admission policy itself: the depth bound, the batch-until-k hold and
+/// the EDF/FIFO take, with no lock and no clock. AdmissionQueue wraps it for
+/// the live service; ClusterService drives one per backend on the simulated
+/// clock, with its own release timer at release_at().
+template <typename Job>
+class AdmissionCore {
+ public:
+  explicit AdmissionCore(AdmissionConfig config = {}) : config_(config) {}
+
+  /// Admits a fresh arrival at `now_ns` under the policy.
+  Admitted push(Job job, std::uint64_t deadline_ns, std::uint64_t now_ns) {
+    if (depth() >= config_.max_depth) return Admitted::kRejected;
+    if (config_.policy != AdmissionPolicy::kBatchUntilK || config_.batch_k <= 1) {
+      ready_.push_back({std::move(job), deadline_ns});
+      return Admitted::kReady;
+    }
+    if (held_.empty()) hold_start_ns_ = now_ns;
+    held_.push_back({std::move(job), deadline_ns});
+    if (held_.size() < config_.batch_k) return Admitted::kHeld;
+    release();
+    return Admitted::kReleased;
+  }
+
+  /// Makes a redispatched job dispatchable with no depth check or batching:
+  /// it has already waited, and a drained queue must land somewhere.
+  void push_ready(Job job, std::uint64_t deadline_ns) {
+    ready_.push_back({std::move(job), deadline_ns});
+  }
+
+  [[nodiscard]] bool holding() const { return !held_.empty(); }
+  [[nodiscard]] std::size_t held() const { return held_.size(); }
+  /// While holding(): when the partial batch stops waiting for k.
+  [[nodiscard]] std::uint64_t release_at() const {
+    return hold_start_ns_ + config_.batch_max_wait_ns;
+  }
+  /// Makes every held job dispatchable, in arrival order.
+  void release() {
+    for (Entry& entry : held_) ready_.push_back(std::move(entry));
+    held_.clear();
+  }
+
+  [[nodiscard]] bool has_ready() const { return !ready_.empty(); }
+  /// Removes the next dispatchable job (has_ready() must hold): the oldest,
+  /// or under EDF the tightest deadline, the sentinel last, FIFO among equals.
+  Job take() {
+    auto best = ready_.begin();
+    if (policy_uses_edf(config_.policy)) {
+      for (auto it = std::next(ready_.begin()); it != ready_.end(); ++it) {
+        if (edf_deadline_key(it->deadline_ns) < edf_deadline_key(best->deadline_ns)) best = it;
+      }
+    }
+    Job job = std::move(best->job);
+    ready_.erase(best);
+    return job;
+  }
+
+  /// Empties the queue, ready jobs first, then held ones, each in order.
+  std::vector<Job> drain_all() {
+    release();
+    std::vector<Job> jobs;
+    jobs.reserve(ready_.size());
+    for (Entry& entry : ready_) jobs.push_back(std::move(entry.job));
+    ready_.clear();
+    return jobs;
+  }
+
+  [[nodiscard]] std::size_t depth() const { return ready_.size() + held_.size(); }
+
+ private:
+  struct Entry {
+    Job job;
+    std::uint64_t deadline_ns;
+  };
+
+  AdmissionConfig config_;
+  std::deque<Entry> ready_;
+  std::deque<Entry> held_;  // kBatchUntilK only
+  std::uint64_t hold_start_ns_ = 0;
+};
+
+/// The live service's submission queue: an AdmissionCore behind a mutex,
+/// with a condition variable for blocking pops on the service clock.
 class AdmissionQueue {
  public:
-  struct Config {
-    AdmissionPolicy policy = AdmissionPolicy::kImmediate;
-    std::size_t max_depth = 1024;
-    std::size_t batch_k = 4;
-    std::uint64_t batch_max_wait_ns = 50'000'000;  // 50 ms
-  };
+  using Config = AdmissionConfig;
 
   explicit AdmissionQueue(Config config);
 
@@ -171,16 +290,13 @@ class AdmissionQueue {
   [[nodiscard]] bool closed() const;
 
  private:
-  /// Removes and returns the next job per policy; ready_ must be non-empty.
-  JobRecordPtr take_locked() REQUIRES(mutex_);
+  /// Releases the held batch and closes its start line to new members.
+  void release_locked() REQUIRES(mutex_);
 
-  Config config_;
   mutable Mutex mutex_;
   std::condition_variable cv_;
-  /// Jobs eligible for dispatch. Under kBatchUntilK jobs sit in held_ first.
-  std::deque<JobRecordPtr> ready_ GUARDED_BY(mutex_);
-  std::deque<JobRecordPtr> held_ GUARDED_BY(mutex_);  // kBatchUntilK only
-  std::uint64_t oldest_held_arrival_ns_ GUARDED_BY(mutex_) = 0;
+  AdmissionCore<JobRecordPtr> core_ GUARDED_BY(mutex_);
+  std::shared_ptr<BatchStartLine> open_batch_ GUARDED_BY(mutex_);
   bool closed_ GUARDED_BY(mutex_) = false;
 };
 

@@ -36,9 +36,6 @@ JobService::JobService(std::vector<DatasetSpec> datasets, ServiceConfig config)
               config_.batch_max_wait_ns}),
       groups_(datasets.size()),
       slo_(config_.objectives) {
-  // Open-loop sharing needs mid-stream attach: a job dispatched while the
-  // group streams must join the resident partition, not wait a full round.
-  config_.graphm.allow_mid_round_attach = true;
   datasets_.reserve(datasets.size());
   for (std::size_t d = 0; d < datasets.size(); ++d) {
     Dataset dataset;
@@ -89,16 +86,12 @@ JobHandle JobService::submit(const algos::JobSpec& spec, std::uint64_t deadline_
   // shed outright, and deadlined arrivals shed once the queue is over quota.
   // Admitting re-opens on its own when the fast window cools below
   // reopen_burn (the monitor's hysteresis) — no separate open/close state.
-  bool slo_shed = false;
-  if (config_.policy == AdmissionPolicy::kAdaptive && slo_.enabled() &&
-      dataset < datasets_.size()) {
-    if (slo_.evaluate(record->outcome.arrival_ns) == obs::SloState::kCritical) {
-      const std::size_t quota = config_.adaptive_queue_quota != 0
-                                    ? config_.adaptive_queue_quota
-                                    : std::max<std::size_t>(1, config_.workers);
-      slo_shed = deadline_ns == kNoDeadline || queue_.depth() >= quota;
-    }
-  }
+  const bool slo_shed =
+      config_.policy == AdmissionPolicy::kAdaptive && slo_.enabled() &&
+      dataset < datasets_.size() &&
+      slo_.evaluate(record->outcome.arrival_ns) == obs::SloState::kCritical &&
+      adaptive_sheds(deadline_ns, queue_.depth(), config_.adaptive_queue_quota,
+                     config_.workers);
 
   {
     MutexLock lock(lifecycle_mutex_);
@@ -177,6 +170,7 @@ void JobService::execute(const JobRecordPtr& job) {
       tracer.instant(worker_track, "shed at dispatch", tracer.now_ns(), job->job_id);
     }
     job->missed_deadline = true;
+    if (job->start_line) job->start_line->arrive(config_.workers, /*wait=*/false);
     job->outcome.start_ns = now_ns();
     job->outcome.completion_ns = job->outcome.start_ns;
     finish(job, JobState::kCancelled, /*started=*/false);
@@ -207,6 +201,7 @@ void JobService::execute(const JobRecordPtr& job) {
     const std::uint64_t deadline = job->deadline_ns;
     control.should_cancel = [this, deadline] { return now_ns() > deadline; };
   }
+  if (job->start_line) job->start_line->arrive(config_.workers, /*wait=*/true);
 
   job->outcome.start_ns = now_ns();
   job->outcome.stats = dataset.engine->run_job(job->job_id, *algorithm, *loader, &control);

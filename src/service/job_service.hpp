@@ -1,13 +1,12 @@
-// JobService — the always-on analytics front end over GraphM/StreamEngine.
-//
-// The executor (runtime/executor.hpp) answers the paper's batch question:
-// "here are 16 jobs, run them under scheme X". The service answers the
-// production question the ROADMAP's north star asks: jobs arrive open-loop
-// (Poisson, diurnal traces), are admitted by a pluggable policy into the
-// dataset's in-flight sharing group (Algorithm 2 taken open-loop: the first
-// job loads, late arrivals attach mid-stream without a fresh structure
-// load), and are judged by per-job latency percentiles against deadlines —
-// not by batch makespan.
+// JobService — the always-on analytics front end over GraphM/StreamEngine,
+// and the repo's one execution path: the paper's batch question ("run these
+// 16 jobs under scheme X") is runtime::run_jobs, a thin adapter over it. The
+// service answers the production question the ROADMAP's north star asks:
+// jobs arrive open-loop (Poisson, diurnal traces), are admitted by a
+// pluggable policy into the dataset's in-flight sharing group (Algorithm 2
+// taken open-loop: the first job loads, late arrivals attach mid-stream
+// without a fresh structure load), and are judged by per-job latency
+// percentiles against deadlines — not by batch makespan.
 //
 //   grid::GridStore store = ...;
 //   service::ServiceConfig config;
@@ -18,10 +17,11 @@
 //   service::ServiceStats stats = svc.stats();   // p50/p95/p99, groups, ...
 //
 // Execution modes: kShared routes every job through the dataset's GraphM
-// loaders (one shared buffer, mid-round attach enabled); kIsolated gives
-// each job a private DefaultLoader on the same engine — the
-// isolated-concurrent baseline, and with workers == 1 the per-job-sequential
-// baseline. The benches run the identical arrival stream through all three.
+// loaders (one shared buffer; mid-round attach per ServiceConfig::graphm, on
+// by default); kIsolated gives each job a private DefaultLoader on the same
+// engine — the isolated-concurrent baseline (-C), and with workers == 1 the
+// per-job-sequential baseline (-S). The benches run the identical arrival
+// stream through all three.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +71,9 @@ struct ServiceConfig {
   /// kAdaptive only: queue depth above which even deadlined arrivals shed
   /// while Critical. 0 = the worker count (one dispatch round of backlog).
   std::size_t adaptive_queue_quota = 0;
-  core::GraphMOptions graphm;   // allow_mid_round_attach forced on in kShared
+  /// Mid-round attach on: a job dispatched mid-stream joins the round in
+  /// flight. runtime::run_jobs turns it off to keep the paper's strict rounds.
+  core::GraphMOptions graphm{.allow_mid_round_attach = true};
   grid::StreamConfig stream;
   sim::PlatformConfig platform;
   double dram_latency_s = 150e-9;  // metrics.hpp time composition

@@ -38,9 +38,9 @@ struct LatencySummary {
 /// set is consumed). Empty input yields an all-zero summary.
 LatencySummary summarize_latency(std::vector<std::uint64_t> samples_ns);
 
-/// E2e latency summary straight from executor outcomes — batch runs
-/// (runtime::run_jobs) report per-job latency percentiles through the same
-/// machinery the service uses.
+/// E2e latency summary straight from job outcomes — batch runs
+/// (runtime::run_jobs, a JobService adapter) report per-job latency
+/// percentiles through the same machinery as online runs.
 LatencySummary latency_from_outcomes(const std::vector<runtime::JobOutcome>& jobs);
 
 /// Completed jobs per second over [first arrival, last completion] — the

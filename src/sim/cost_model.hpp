@@ -2,7 +2,7 @@
 //
 // The paper evaluates on a 2-socket Xeon E5-2670 (2 x 20 MB LLC), 32 GB DRAM
 // and a 1 TB HDD. Our synthetic datasets are ~1000x smaller than the paper's
-// (see DESIGN.md section 4), so the simulated LLC and memory budget are scaled
+// (see graph/datasets.hpp), so the simulated LLC and memory budget are scaled
 // by the same factor to preserve the in-cache / in-memory / out-of-core splits
 // that drive every result in the paper.
 #pragma once

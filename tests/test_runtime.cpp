@@ -211,6 +211,28 @@ TEST(Executor, RecordsPerJobLifecycleTimestamps) {
   }
 }
 
+TEST(Executor, SharedBatchKeepsStrictRoundMembership) {
+  // run_jobs rides on JobService, whose default turns mid-round attach on for
+  // open-loop serving. A -M batch must still keep the paper's strict rounds,
+  // even when its jobs arrive staggered.
+  EXPECT_TRUE(service::ServiceConfig{}.graphm.allow_mid_round_attach);
+
+  // Long PageRank jobs 2 ms apart: every later job arrives while the group
+  // streams, so with mid-round attach on it would join the round in flight.
+  const auto g = test::small_rmat(1000, 20000, 6);
+  const grid::GridStore store = test::make_grid(g, 2);
+  std::vector<algos::JobSpec> jobs(4);
+  ExecutorConfig config;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    jobs[j].kind = algos::AlgorithmKind::kPageRank;
+    jobs[j].max_iterations = 40;
+    config.arrival_offsets_ns.push_back(j * 2'000'000);
+  }
+  const auto m = run_jobs(Scheme::kShared, store, jobs, config);
+  EXPECT_GT(m.sharing.partition_loads, 0u);
+  EXPECT_EQ(m.sharing.mid_round_attaches, 0u);
+}
+
 TEST(Executor, EmptyJobListIsAnEmptyRun) {
   const auto g = test::small_rmat(100, 500, 6);
   const grid::GridStore store = test::make_grid(g, 2);

@@ -216,6 +216,113 @@ TEST(JobService, MixedJobsMatchSoloRuns) {
 // ---------------------------------------------------------------------------
 // Admission policies.
 // ---------------------------------------------------------------------------
+// The policy core alone, on a fake clock: the ordering, holding and
+// draining rules AdmissionQueue and ClusterService both run.
+std::vector<int> take_all(AdmissionCore<int>& core) {
+  std::vector<int> order;
+  while (core.has_ready()) order.push_back(core.take());
+  return order;
+}
+
+TEST(AdmissionCore, FifoTakesInArrivalOrder) {
+  AdmissionCore<int> core({AdmissionPolicy::kImmediate, 16, 4, 1000});
+  for (int j = 0; j < 4; ++j) {
+    EXPECT_EQ(core.push(j, /*deadline_ns=*/100 - j, /*now_ns=*/j), Admitted::kReady);
+  }
+  EXPECT_EQ(take_all(core), (std::vector<int>{0, 1, 2, 3})) << "deadlines ignored";
+  EXPECT_EQ(core.depth(), 0u);
+}
+
+TEST(AdmissionCore, EdfTakesTightestFirstSentinelLastFifoAmongEquals) {
+  for (const auto policy : {AdmissionPolicy::kDeadline, AdmissionPolicy::kAdaptive}) {
+    AdmissionCore<int> core({policy, 16, 4, 1000});
+    core.push(0, kNoDeadline, 0);
+    core.push(1, 300, 0);
+    core.push(2, 100, 0);
+    core.push(3, 300, 0);
+    core.push(4, kNoDeadline, 0);
+    core.push(5, 1, 0);
+    EXPECT_EQ(take_all(core), (std::vector<int>{5, 2, 1, 3, 0, 4}))
+        << admission_policy_name(policy);
+  }
+}
+
+TEST(AdmissionCore, BatchReleasesAtK) {
+  AdmissionCore<int> core({AdmissionPolicy::kBatchUntilK, 16, 3, 1000});
+  EXPECT_EQ(core.push(0, kNoDeadline, 10), Admitted::kHeld);
+  EXPECT_EQ(core.held(), 1u) << "the first arrival opens the batch";
+  EXPECT_EQ(core.release_at(), 1010u);
+  EXPECT_EQ(core.push(1, kNoDeadline, 20), Admitted::kHeld);
+  EXPECT_FALSE(core.has_ready());
+  EXPECT_EQ(core.depth(), 2u);
+  EXPECT_EQ(core.push(2, kNoDeadline, 30), Admitted::kReleased);
+  EXPECT_FALSE(core.holding());
+  EXPECT_EQ(take_all(core), (std::vector<int>{0, 1, 2}));
+}
+
+TEST(AdmissionCore, BatchReleasesAtTheTimeout) {
+  AdmissionCore<int> core({AdmissionPolicy::kBatchUntilK, 16, 8, 1000});
+  // What a dispatcher does when its clock reads `now` (AdmissionQueue::pop's
+  // rule): release a partial batch once its window has run out.
+  const auto poll = [&core](std::uint64_t now) {
+    if (core.holding() && now >= core.release_at()) core.release();
+    return take_all(core);
+  };
+  core.push(0, kNoDeadline, 100);
+  core.push(1, kNoDeadline, 600);
+  // The window runs from the oldest held arrival, not the latest.
+  EXPECT_EQ(core.release_at(), 1100u);
+  EXPECT_TRUE(poll(1099).empty());
+  EXPECT_EQ(poll(1100), (std::vector<int>{0, 1}));
+  // The next batch opens its own window.
+  EXPECT_EQ(core.push(2, kNoDeadline, 5000), Admitted::kHeld);
+  EXPECT_EQ(core.release_at(), 6000u);
+}
+
+TEST(AdmissionCore, DepthBoundRejectsHeldAndReadyAlike) {
+  AdmissionCore<int> ready({AdmissionPolicy::kImmediate, 2, 4, 1000});
+  EXPECT_EQ(ready.push(0, kNoDeadline, 0), Admitted::kReady);
+  EXPECT_EQ(ready.push(1, kNoDeadline, 0), Admitted::kReady);
+  EXPECT_EQ(ready.push(2, kNoDeadline, 0), Admitted::kRejected);
+  EXPECT_EQ(ready.depth(), 2u);
+
+  AdmissionCore<int> held({AdmissionPolicy::kBatchUntilK, 2, 4, 1000});
+  EXPECT_EQ(held.push(0, kNoDeadline, 0), Admitted::kHeld);
+  EXPECT_EQ(held.push(1, kNoDeadline, 0), Admitted::kHeld);
+  EXPECT_EQ(held.push(2, kNoDeadline, 0), Admitted::kRejected);
+  EXPECT_EQ(held.depth(), 2u);
+}
+
+TEST(AdmissionCore, RedispatchBypassesBatchingAndTheDepthBound) {
+  AdmissionCore<int> core({AdmissionPolicy::kBatchUntilK, 1, 4, 1000});
+  EXPECT_EQ(core.push(0, kNoDeadline, 0), Admitted::kHeld);
+  core.push_ready(7, kNoDeadline);
+  EXPECT_EQ(core.depth(), 2u) << "a redispatch is never rejected";
+  EXPECT_TRUE(core.holding());
+  EXPECT_EQ(take_all(core), (std::vector<int>{7})) << "and never held";
+}
+
+TEST(AdmissionCore, DrainAllEmptiesReadyThenHeld) {
+  AdmissionCore<int> core({AdmissionPolicy::kBatchUntilK, 16, 3, 1000});
+  core.push(0, kNoDeadline, 0);
+  core.push(1, kNoDeadline, 0);
+  core.push(2, kNoDeadline, 0);  // releases 0-2
+  core.push(3, kNoDeadline, 0);  // held
+  core.push_ready(4, kNoDeadline);
+  EXPECT_EQ(core.drain_all(), (std::vector<int>{0, 1, 2, 4, 3}));
+  EXPECT_EQ(core.depth(), 0u);
+  EXPECT_FALSE(core.holding());
+}
+
+TEST(AdmissionCore, AdaptiveShedRule) {
+  EXPECT_TRUE(adaptive_sheds(kNoDeadline, 0, 0, 4)) << "deadline-less work always sheds";
+  EXPECT_FALSE(adaptive_sheds(100, 3, 0, 4)) << "quota 0 means one round of slots";
+  EXPECT_TRUE(adaptive_sheds(100, 4, 0, 4));
+  EXPECT_TRUE(adaptive_sheds(100, 1, 1, 8)) << "an explicit quota wins over slots";
+  EXPECT_TRUE(adaptive_sheds(100, 1, 0, 0)) << "zero slots still means a quota of one";
+  EXPECT_FALSE(adaptive_sheds(100, 0, 0, 0));
+}
+
 TEST(Admission, BatchUntilKHoldsUntilThreshold) {
   const auto g = test::small_rmat(256, 2000);
   const grid::GridStore store = test::make_grid(g, 2);
