@@ -236,6 +236,15 @@ void shed(RunContext& ctx, Ticket* t) {
   finish(ctx, t, service::Outcome::kFailoverShed);
 }
 
+/// A deadline abort, at dispatch or mid-run: a miss and an SLO violation.
+void count_deadline_abort(RunContext& ctx, BackendState& state, std::uint64_t now_ns) {
+  ++state.stats.deadline_misses;
+  ++state.stats.deadline_aborts;
+  if (ctx.slo != nullptr && ctx.slo->enabled()) {
+    ctx.slo->violation(state.config->dataset, now_ns);
+  }
+}
+
 void dispatch_one(RunContext& ctx, BackendState& state, Ticket* t) {
   EventLoop& loop = ctx.loop;
   const bool cancellable =
@@ -243,14 +252,9 @@ void dispatch_one(RunContext& ctx, BackendState& state, Ticket* t) {
   if (cancellable && loop.now_ns() > t->deadline_ns) {
     // Shed at dispatch (JobService::cancel_past_deadline semantics): the
     // deadline passed while the job sat in the queue, so running it would
-    // only burn the backend's disks and cores on a guaranteed miss.
-    ++state.stats.deadline_misses;
-    ++state.stats.deadline_aborts;
-    // As much an SLO violation as a mid-run abort: the request failed its
-    // latency objective (it just failed it in the queue).
-    if (ctx.slo != nullptr && ctx.slo->enabled()) {
-      ctx.slo->violation(state.config->dataset, loop.now_ns());
-    }
+    // only burn the backend's disks and cores on a guaranteed miss. It is
+    // as much an SLO violation as a mid-run abort (it failed in the queue).
+    count_deadline_abort(ctx, state, loop.now_ns());
     loop.trace(TraceCode::kJobAborted, state.backend_id, t->id, t->deadline_ns);
     finish(ctx, t, service::Outcome::kDeadlineShed);
     return;
@@ -274,11 +278,7 @@ void dispatch_one(RunContext& ctx, BackendState& state, Ticket* t) {
         }
         state.last_completion_ns = std::max(state.last_completion_ns, completion);
         if (end == JobEnd::kAborted) {
-          ++state.stats.deadline_misses;
-          ++state.stats.deadline_aborts;
-          if (ctx.slo != nullptr && ctx.slo->enabled()) {
-            ctx.slo->violation(state.config->dataset, completion);
-          }
+          count_deadline_abort(ctx, state, completion);
           finish(ctx, t, service::Outcome::kDeadlineAborted);
         } else {
           ++state.stats.completed;
@@ -369,12 +369,9 @@ void admit(RunContext& ctx, BackendState& state, Ticket* t, bool redispatch) {
   if (!redispatch) {
     if (state.stats.submitted++ == 0) state.first_arrival_ns = loop.now_ns();
     if (ctx.slo != nullptr && ctx.slo->enabled()) {
-      // The detector is consulted at every arrival (tracking alone — the
-      // evaluation is pure computation, no events, no randomness); only
-      // kAdaptive backends act on it. While Critical, the lowest-priority
-      // work sheds: deadline-less jobs outright, deadlined jobs once the
-      // queue is over quota. Re-opening is the monitor's hysteresis — the
-      // fast window cooling below reopen_burn flips the state back.
+      // The detector is consulted at every arrival (pure computation: no
+      // events, no randomness); only kAdaptive backends act on it, by the
+      // same adaptive_sheds rule as the live service.
       const obs::SloState slo_state = evaluate_slo(ctx, state);
       if (state.config->policy == service::AdmissionPolicy::kAdaptive &&
           slo_state == obs::SloState::kCritical &&
@@ -600,6 +597,12 @@ std::vector<BackendStats> ClusterService::run(const std::vector<Submission>& sub
     const std::uint32_t id = next_id++;
     loop.schedule_at(submission.arrival_ns, [this, &ctx, &states, &submission, id] {
       if (ctx.arrivals_remaining > 0) --ctx.arrivals_remaining;
+      ctx.tickets.emplace_back();
+      Ticket* t = &ctx.tickets.back();
+      t->id = id;
+      t->arrival_ns = submission.arrival_ns;
+      t->deadline_ns = submission.deadline_ns;
+      ++ctx.jobs_outstanding;
       // Routing: named datasets map to their shard's replica set; unnamed
       // submissions may run anywhere. The pick is the least-outstanding
       // non-dead candidate (ties: lowest index) — crashed-but-undetected
@@ -616,24 +619,13 @@ std::vector<BackendStats> ClusterService::run(const std::vector<Submission>& sub
         }
         if (named == backends_.size()) {
           ++unroutable_;
-          ctx.tickets.emplace_back();
-          Ticket* t = &ctx.tickets.back();
-          t->id = id;
-          t->arrival_ns = submission.arrival_ns;
-          ++ctx.jobs_outstanding;
           finish(ctx, t, service::Outcome::kUnroutable);
           return;
         }
         candidates = &shard_replicas_[backend_shard_[named]];
       }
       const std::size_t target = least_loaded(states, *candidates, /*skip_crashed=*/false);
-      ctx.tickets.emplace_back();
-      Ticket* t = &ctx.tickets.back();
-      t->id = id;
-      t->arrival_ns = submission.arrival_ns;
-      t->deadline_ns = submission.deadline_ns;
       t->candidates = candidates;
-      ++ctx.jobs_outstanding;
       if (target == states.size()) {
         // Every replica is already declared dead: graceful shed at arrival.
         shed(ctx, t);

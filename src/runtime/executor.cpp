@@ -29,7 +29,11 @@ RunMetrics run_jobs(Scheme scheme, const storage::PartitionedStore& store,
   settings.policy = staggered ? service::AdmissionPolicy::kImmediate
                               : service::AdmissionPolicy::kBatchUntilK;
   settings.batch_k = jobs.size();
+  // Far above any submit loop, so the batch is never released in parts.
+  settings.batch_max_wait_ns = 3'600'000'000'000ULL;  // one hour
   settings.max_queue_depth = jobs.size();
+  settings.cancel_past_deadline = false;
+  settings.objectives.clear();
   settings.graphm.allow_mid_round_attach = false;  // strict round membership
   // GraphM's labelling runs in the constructor, before the measured run (it
   // is the separate Table-3 experiment), and its chunk tables stay resident.

@@ -1,17 +1,14 @@
 // Executes a batch of jobs under one of the paper's three schemes:
-//   kSequential  ("GridGraph-S"): jobs one after another, engine's own loader;
+//   kSequential  ("GridGraph-S"): jobs one after another;
 //   kConcurrent  ("GridGraph-C"): all jobs at once, each with a private
 //                                  loader and private partition copies;
 //   kShared      ("GridGraph-M"): all jobs at once through one GraphM
 //                                  instance (shared buffers, common order,
 //                                  chunk-grained sync).
 // run_jobs is a thin adapter over service::JobService, the one execution
-// path: -S is kIsolated with one worker (offsets ignored), -C kIsolated and
-// -M kShared with a worker per job and mid-round attach off (the paper's
-// strict rounds). Without offsets the batch is admitted batch-until-k with
-// k = the job count, so it starts together; with offsets each job is
-// submitted as its offset elapses. Every run gets a fresh service and
-// Platform, so the hardware-counter style metrics compare across schemes.
+// path (docs/service.md maps each scheme onto its settings). Every run gets
+// a fresh service and Platform, so the hardware-counter style metrics
+// compare across schemes.
 #pragma once
 
 #include <cstdint>
@@ -28,10 +25,12 @@ enum class Scheme : int { kSequential = 0, kConcurrent = 1, kShared = 2 };
 
 const char* scheme_name(Scheme scheme);
 
-/// The service settings of the run (platform, GraphM options, stream
-/// threads, record_results, the time-model constants, ...). The scheme
-/// decides mode, workers, policy, batch_k, max_queue_depth and
-/// graphm.allow_mid_round_attach; whatever is set there is overridden.
+/// The service settings of the run. Honoured: platform, graphm (except
+/// allow_mid_round_attach), stream, record_results, dram_latency_s and
+/// modeled_cores. The scheme sets mode, workers, policy, batch_k,
+/// batch_max_wait_ns, max_queue_depth and graphm.allow_mid_round_attach;
+/// cancel_past_deadline and objectives are cleared (batch jobs have no
+/// deadline), and adaptive_queue_quota is unused.
 struct ExecutorConfig : service::ServiceConfig {
   /// Optional per-job submission offsets in ns (same length as jobs,
   /// non-decreasing; jobs are submitted in order). Empty means submit

@@ -34,18 +34,13 @@ bool adaptive_sheds(std::uint64_t deadline_ns, std::size_t depth, std::size_t qu
   return deadline_ns == kNoDeadline || depth >= limit;
 }
 
-void BatchStartLine::join() {
-  MutexLock lock(mutex_);
-  ++members_;
-}
-
-void BatchStartLine::arrive(std::size_t quorum, bool wait) {
-  MutexLock lock(mutex_);
-  ++arrived_;
-  cv_.notify_all();
-  if (!wait) return;
-  while (arrived_ < std::min(quorum, members_)) lock.wait(cv_);
-}
+/// Guarded by the owning queue's mutex. The quorum is set when the batch is
+/// released, before any member can be popped.
+struct BatchStartLine {
+  std::size_t members = 0;
+  std::size_t quorum = 0;
+  std::size_t arrived = 0;
+};
 
 AdmissionQueue::AdmissionQueue(Config config) : core_(config) {}
 
@@ -57,23 +52,52 @@ bool AdmissionQueue::push(JobRecordPtr job, std::uint64_t now_ns) {
   if (admitted == Admitted::kRejected) return false;
   if (admitted == Admitted::kHeld || admitted == Admitted::kReleased) {
     if (open_batch_ == nullptr) open_batch_ = std::make_shared<BatchStartLine>();
-    open_batch_->join();
+    ++open_batch_->members;
     record.start_line = open_batch_;
-    if (admitted == Admitted::kReleased) open_batch_.reset();
   }
+  if (admitted == Admitted::kReleased) close_batch_locked();
   cv_.notify_all();
   return true;
 }
 
 void AdmissionQueue::release_locked() {
   core_.release();
+  close_batch_locked();
+  cv_.notify_all();
+}
+
+void AdmissionQueue::close_batch_locked() {
+  if (open_batch_ == nullptr) return;
+  BatchStartLine& line = *open_batch_;
+  const std::size_t ready_ahead = core_.depth() - line.members;
+  line.quorum = std::min(line.members, idle_ > ready_ahead ? idle_ - ready_ahead : 0);
   open_batch_.reset();
+}
+
+void AdmissionQueue::arrive(const JobRecord& job, bool wait) {
+  if (job.start_line == nullptr) return;
+  BatchStartLine& line = *job.start_line;
+  MutexLock lock(mutex_);
+  ++line.arrived;
+  start_cv_.notify_all();
+  if (!wait) return;
+  while (line.arrived < line.quorum) lock.wait(start_cv_);
+}
+
+void AdmissionQueue::await_idle(std::size_t consumers) {
+  MutexLock lock(mutex_);
+  while (idle_ < consumers) lock.wait(idle_cv_);
 }
 
 JobRecordPtr AdmissionQueue::pop(const std::function<std::uint64_t()>& now_ns) {
   MutexLock lock(mutex_);
+  ++idle_;
+  idle_cv_.notify_all();
   for (;;) {
-    if (core_.has_ready()) return core_.take();
+    if (core_.has_ready()) {
+      --idle_;
+      return core_.take();
+    }
     if (core_.holding()) {
       // A partial batch: dispatch anyway once the oldest member has waited
       // out the batch window (bounded added latency), otherwise sleep until
@@ -87,7 +111,10 @@ JobRecordPtr AdmissionQueue::pop(const std::function<std::uint64_t()>& now_ns) {
       lock.wait_for(cv_, std::chrono::nanoseconds(release_at - now));
       continue;
     }
-    if (closed_) return nullptr;
+    if (closed_) {
+      --idle_;
+      return nullptr;
+    }
     lock.wait(cv_);
   }
 }
@@ -95,7 +122,6 @@ JobRecordPtr AdmissionQueue::pop(const std::function<std::uint64_t()>& now_ns) {
 void AdmissionQueue::flush() {
   MutexLock lock(mutex_);
   release_locked();
-  cv_.notify_all();
 }
 
 void AdmissionQueue::close() {

@@ -1,32 +1,14 @@
-// Admission control for the open-loop job service: the bounded submission
-// queue and the policies that decide when a queued job is dispatched into the
-// sharing group.
-//
-// Policies:
-//  * kImmediate    — dispatch as soon as a worker is free; the job attaches
-//                    to the in-flight stream at the next chunk/partition
-//                    boundary (Algorithm 2: the first job loads, later jobs
-//                    attach — taken open-loop).
-//  * kBatchUntilK  — hold arrivals until k are waiting (or the oldest has
-//                    waited batch_max_wait_ns), then release them together.
-//                    Trades queue wait for maximal overlap: a batch enters
-//                    the stream at one point and shares every load.
-//  * kDeadline     — earliest-deadline-first dispatch order (SLO-aware
-//                    grouping): among queued jobs the tightest deadline runs
-//                    next; deadline-less jobs sort last, FIFO among equals.
-//  * kAdaptive     — kDeadline's EDF order, plus closed-loop shedding driven
-//                    by the obs::SloMonitor burn-rate signal: while an
-//                    objective is Critical, the lowest-priority work
-//                    (deadline-less jobs, and over-quota arrivals) is shed
-//                    instead of queued, and admission re-opens hysteretically
-//                    when the burn cools (docs/observability.md, "SLOs and
-//                    error budgets"). The queue itself only provides the
-//                    ordering and the shed rule (adaptive_sheds); the
-//                    services own the monitor and decide when it applies.
-//
-// Backpressure: the queue is bounded (max_depth); submissions beyond it are
-// rejected at submit() so an overloaded service sheds load at the edge
-// instead of growing an unbounded backlog.
+// Admission control shared by the live job service and the simulated
+// cluster: the bounded submission queue and the policies that decide when a
+// queued job is dispatched into the sharing group (docs/service.md,
+// "Admission policies"):
+//  * kImmediate    — dispatch as soon as a worker is free;
+//  * kBatchUntilK  — hold arrivals until k wait (or the oldest has waited
+//                    batch_max_wait_ns), then release them together;
+//  * kDeadline     — earliest deadline first, deadline-less jobs last;
+//  * kAdaptive     — kDeadline plus the adaptive_sheds rule, which the
+//                    services apply while their SLO signal is Critical.
+// Backpressure: submissions beyond max_depth are rejected.
 #pragma once
 
 #include <atomic>
@@ -82,12 +64,7 @@ const char* outcome_name(Outcome outcome);
 // Deadline convention (repo-wide, local service and simulated cluster alike):
 // deadline_ns is an absolute clock value and 0 is the reserved "no deadline"
 // sentinel — EDF sorts it last and it can never be missed or aborted. The
-// helpers below are the single definition of that convention; both EDF
-// users (the live AdmissionQueue and the cluster service's backends) take
-// through AdmissionCore, which sorts by edf_deadline_key, and
-// deadline_from() is how real deadlines are derived from now + slo, clamping
-// away the one value (0) that would otherwise silently turn a genuine
-// time-zero deadline into "infinitely lax".
+// helpers below are the single definition of that convention.
 // ---------------------------------------------------------------------------
 
 /// The "no deadline" sentinel.
@@ -113,23 +90,8 @@ inline constexpr std::uint64_t kNoDeadline = 0;
 
 enum class JobState : int { kQueued = 0, kRunning = 1, kDone = 2, kCancelled = 3, kRejected = 4 };
 
-/// Where the members of one kBatchUntilK batch wait, once set up, for each
-/// other. Release alone does not make them run together: on a host that
-/// runs one worker at a time, a short job can finish before the next worker
-/// is scheduled, and the batch then shares nothing.
-class BatchStartLine {
- public:
-  void join();
-  /// Marks one member set up; with `wait`, blocks until min(quorum, members)
-  /// have. Callers pass their worker count: later members cannot start yet.
-  void arrive(std::size_t quorum, bool wait);
-
- private:
-  Mutex mutex_;
-  std::condition_variable cv_;
-  std::size_t members_ GUARDED_BY(mutex_) = 0;
-  std::size_t arrived_ GUARDED_BY(mutex_) = 0;
-};
+/// The start line of one kBatchUntilK batch (AdmissionQueue::arrive).
+struct BatchStartLine;
 
 /// Shared record of one submitted job: the submission parameters, lifecycle
 /// timestamps on the service clock, and the outcome. Owned jointly by the
@@ -145,7 +107,7 @@ struct JobRecord {
   runtime::JobOutcome outcome;  // timestamps, engine stats, optional result
   std::uint64_t modeled_latency_ns = 0;
   bool missed_deadline = false;
-  /// Set under the queue lock when the job is held for a batch.
+  /// AdmissionQueue's, set when it holds the job for a batch.
   std::shared_ptr<BatchStartLine> start_line;
 
   std::atomic<JobState> state{JobState::kQueued};
@@ -279,6 +241,16 @@ class AdmissionQueue {
   /// empty. `now_ns` reads the service clock (used for batch timeouts).
   JobRecordPtr pop(const std::function<std::uint64_t()>& now_ns);
 
+  /// Marks a popped job set up to run; every popped job arrives once. With
+  /// `wait`, a batch member blocks until the members that idle workers took
+  /// at release have arrived (never one queued behind a running job: under
+  /// kShared a waiting member stalls its dataset's rounds).
+  void arrive(const JobRecord& job, bool wait);
+
+  /// Blocks until `consumers` threads wait in pop(): a batch pushed after
+  /// that is released to idle workers.
+  void await_idle(std::size_t consumers);
+
   /// Releases any held batch immediately (drain/shutdown path: a partial
   /// batch must not dam the queue forever).
   void flush();
@@ -290,13 +262,20 @@ class AdmissionQueue {
   [[nodiscard]] bool closed() const;
 
  private:
-  /// Releases the held batch and closes its start line to new members.
+  /// Releases the held batch (timeout or flush).
   void release_locked() REQUIRES(mutex_);
+  /// Sets the just-released batch's quorum: its members that idle poppers
+  /// reach past the jobs queued before it (the take is FIFO under
+  /// kBatchUntilK).
+  void close_batch_locked() REQUIRES(mutex_);
 
   mutable Mutex mutex_;
   std::condition_variable cv_;
+  std::condition_variable idle_cv_;   // a thread entered pop()
+  std::condition_variable start_cv_;  // a batch member arrived
   AdmissionCore<JobRecordPtr> core_ GUARDED_BY(mutex_);
   std::shared_ptr<BatchStartLine> open_batch_ GUARDED_BY(mutex_);
+  std::size_t idle_ GUARDED_BY(mutex_) = 0;  // threads inside pop()
   bool closed_ GUARDED_BY(mutex_) = false;
 };
 

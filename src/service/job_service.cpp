@@ -65,6 +65,9 @@ void JobService::start_workers() {
   for (std::size_t w = 0; w < count; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
   }
+  // Ready once every worker waits for work, so a batch submitted right away
+  // is released to all of them.
+  queue_.await_idle(count);
 }
 
 JobHandle JobService::submit(const algos::JobSpec& spec, std::uint64_t deadline_ns,
@@ -81,11 +84,9 @@ JobHandle JobService::submit(const algos::JobSpec& spec, std::uint64_t deadline_
   record->outcome.modeled_cores = config_.modeled_cores;
   record->outcome.arrival_ns = now_ns();
 
-  // Closed-loop shedding (kAdaptive): while the burn-rate signal is
-  // Critical, deadline-less arrivals (lowest priority — they can never miss)
-  // shed outright, and deadlined arrivals shed once the queue is over quota.
-  // Admitting re-opens on its own when the fast window cools below
-  // reopen_burn (the monitor's hysteresis) — no separate open/close state.
+  // Closed-loop shedding (kAdaptive) by the adaptive_sheds rule while the
+  // burn-rate signal is Critical; admitting re-opens on its own when the
+  // fast window cools below reopen_burn (the monitor's hysteresis).
   const bool slo_shed =
       config_.policy == AdmissionPolicy::kAdaptive && slo_.enabled() &&
       dataset < datasets_.size() &&
@@ -170,7 +171,7 @@ void JobService::execute(const JobRecordPtr& job) {
       tracer.instant(worker_track, "shed at dispatch", tracer.now_ns(), job->job_id);
     }
     job->missed_deadline = true;
-    if (job->start_line) job->start_line->arrive(config_.workers, /*wait=*/false);
+    queue_.arrive(*job, /*wait=*/false);
     job->outcome.start_ns = now_ns();
     job->outcome.completion_ns = job->outcome.start_ns;
     finish(job, JobState::kCancelled, /*started=*/false);
@@ -201,7 +202,8 @@ void JobService::execute(const JobRecordPtr& job) {
     const std::uint64_t deadline = job->deadline_ns;
     control.should_cancel = [this, deadline] { return now_ns() > deadline; };
   }
-  if (job->start_line) job->start_line->arrive(config_.workers, /*wait=*/true);
+  // A batch member waits here, registered but not streaming, for its batch.
+  queue_.arrive(*job, /*wait=*/true);
 
   job->outcome.start_ns = now_ns();
   job->outcome.stats = dataset.engine->run_job(job->job_id, *algorithm, *loader, &control);

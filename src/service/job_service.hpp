@@ -62,11 +62,8 @@ struct ServiceConfig {
   bool cancel_past_deadline = false;
   bool record_results = false;  // keep final vertex values in the record
   /// SLO objectives tracked by the service's obs::SloMonitor, scoped per
-  /// dataset. Tracking is on whenever non-empty; AdmissionPolicy::kAdaptive
-  /// additionally acts on the signal (docs/observability.md, "SLOs and error
-  /// budgets"): while an objective is Critical, deadline-less arrivals are
-  /// shed outright and deadlined arrivals are shed once the queue is over
-  /// quota, until the burn cools below SloSpec::reopen_burn.
+  /// dataset; kAdaptive sheds by them (docs/observability.md, "SLOs and
+  /// error budgets").
   std::vector<obs::SloSpec> objectives;
   /// kAdaptive only: queue depth above which even deadlined arrivals shed
   /// while Critical. 0 = the worker count (one dispatch round of backlog).

@@ -371,6 +371,51 @@ TEST(Admission, BatchTimeoutReleasesPartialBatch) {
       << "a lone job must not wait forever for a batch that never fills";
 }
 
+TEST(Admission, BackToBackSharedBatchesAllFinish) {
+  // Batches released while earlier ones still stream: a member that waits for
+  // co-members stalls its dataset's rounds under kShared, so it must never
+  // wait for one queued behind a running job.
+  const auto g = test::small_rmat(512, 8000);
+  const grid::GridStore store = test::make_grid(g, 2);
+
+  ServiceConfig config;
+  config.mode = ExecMode::kShared;
+  config.workers = 2;
+  config.policy = AdmissionPolicy::kBatchUntilK;
+  config.batch_k = 2;
+  JobService svc(store, config);
+
+  std::vector<JobHandle> handles;
+  for (const std::uint32_t iterations : {2u, 60u, 3u, 40u, 1u, 20u, 5u, 30u}) {
+    handles.push_back(svc.submit(pagerank_spec(iterations)));
+  }
+  svc.drain();
+  for (const JobHandle& handle : handles) EXPECT_EQ(handle.state(), JobState::kDone);
+}
+
+TEST(Admission, ReleasedBatchMemberDoesNotWaitForARunningJob) {
+  const auto g = test::small_rmat(512, 8000);
+  const grid::GridStore store = test::make_grid(g, 2);
+
+  ServiceConfig config;
+  config.mode = ExecMode::kIsolated;
+  config.workers = 2;
+  config.policy = AdmissionPolicy::kBatchUntilK;
+  config.batch_k = 2;
+  JobService svc(store, config);
+
+  auto running = svc.submit(pagerank_spec(2000));
+  svc.submit(pagerank_spec(1)).await();
+  // One worker is free, the other runs `running`: the next batch's first
+  // member starts at once instead of waiting for its co-member's worker.
+  auto first = svc.submit(pagerank_spec(1));
+  auto second = svc.submit(pagerank_spec(1));
+  svc.drain();
+
+  EXPECT_EQ(second.state(), JobState::kDone);
+  EXPECT_LT(first.await().outcome.start_ns, running.await().outcome.completion_ns);
+}
+
 TEST(Admission, DeadlinePolicyRunsTightestDeadlineFirst) {
   const auto g = test::small_rmat(512, 8000);
   const grid::GridStore store = test::make_grid(g, 2);
@@ -384,6 +429,11 @@ TEST(Admission, DeadlinePolicyRunsTightestDeadlineFirst) {
   // Occupy the single worker long enough for both queued jobs to be present
   // when the next pop happens.
   auto blocker = svc.submit(pagerank_spec(500));
+  // EDF would take `loose` ahead of the deadline-less blocker if the worker
+  // popped only after `loose` was queued.
+  while (blocker.state() == JobState::kQueued) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
   auto loose = svc.submit(pagerank_spec(2), svc.now_ns() + 3'000'000'000ULL);
   auto tight = svc.submit(pagerank_spec(2), svc.now_ns() + 1'000'000'000ULL);
   svc.drain();
