@@ -253,6 +253,7 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
           range == 0 ||
           2 * active.count_range(view->vertex_begin, view->vertex_end) >= range;
       const std::size_t num_chunks = view->chunks.size();
+      std::uint64_t instructions = 0;
       for (std::size_t c = 0; c < num_chunks; ++c) {
         ChunkSpan span = view->chunks[c];
         // Loaders that hand out bare full-partition spans get the engine's
@@ -283,7 +284,9 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
 
         // Simulated metrics are issued from this (the job's) thread in chunk
         // order, never from pool workers, so LLC state transitions and
-        // instruction counts stay deterministic at any thread count.
+        // instruction counts stay deterministic at any thread count. The LLC
+        // charges only enqueue: the simulator's applier thread replays them
+        // in this order off the hot path.
         if (config_.model_llc && span.edge_count != 0) {
           // Structure data: the chunk's actual buffer address, so shared
           // buffers (-M) hit the same simulated lines while private copies
@@ -318,11 +321,12 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
         }
         // "Instructions retired" proxy: one unit per scanned edge plus the
         // relaxation work for active edges.
-        platform_.add_instructions(job_id, span.edge_count + 2 * active_edges);
+        instructions += span.edge_count + 2 * active_edges;
 
         loader.end_chunk(job_id, view->pid, span.chunk_id, active_edges, span.edge_count,
                          elapsed);
       }
+      platform_.add_instructions(job_id, instructions);
       loader.release(job_id, view->pid);
       if (tracing) {
         char name[32];

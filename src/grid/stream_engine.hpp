@@ -18,9 +18,11 @@
 // bit-identical at any thread count. The engine also announces each
 // partition via begin_partition so accumulating algorithms can group
 // contributions by the graph layout rather than visit order. All simulated
-// metrics (instructions, LLC accesses) are issued from the calling thread in
-// canonical chunk order after each chunk's blocks complete, so they are
-// bit-identical at any thread count; see docs/streaming.md.
+// metrics are issued from the calling thread after each chunk's blocks
+// complete: LLC charges per chunk, in canonical chunk order, and instructions
+// once per partition, so both are bit-identical at any thread count. An LLC
+// charge only enqueues; the simulator's applier thread applies it in that
+// order, and every stats read waits for it; see docs/streaming.md.
 #pragma once
 
 #include <atomic>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <exception>
 #include <initializer_list>
 #include <stdexcept>
 
@@ -19,10 +20,69 @@ CacheSim::CacheSim(std::size_t capacity_bytes, std::size_t ways, std::size_t lin
   if (ways == 0 || line_bytes == 0) throw std::invalid_argument("CacheSim: zero ways/line");
   num_sets_ = round_down_pow2(std::max<std::size_t>(1, capacity_bytes / (ways * line_bytes)));
   sets_.assign(num_sets_ * ways_, Way{});
+  // Started only once the geometry is validated: a constructor that throws
+  // must not leave a joinable thread behind.
+  applier_ = std::thread([this] { run_applier(); });
+}
+
+CacheSim::~CacheSim() {
+  {
+    MutexLock lock(queue_mutex_);
+    stopping_ = true;
+  }
+  work_cv_.notify_one();
+  applier_.join();
 }
 
 void CacheSim::access(std::uint64_t addr, std::uint32_t job_id) {
   access_range(addr, 1, job_id);
+}
+
+void CacheSim::access_range(std::uint64_t base, std::size_t len, std::uint32_t job_id,
+                            std::uint32_t weight) {
+  if (len == 0 || weight == 0) return;
+  bool wake = false;
+  {
+    MutexLock lock(queue_mutex_);
+    while (pending_.size() >= kMaxPending) lock.wait(progress_cv_);
+    wake = pending_.empty();
+    pending_.push_back(Charge{base, len, job_id, weight});
+    ++enqueued_;
+  }
+  // The applier only sleeps on an empty batch, so only the first call into
+  // one needs to wake it.
+  if (wake) work_cv_.notify_one();
+}
+
+void CacheSim::run_applier() {
+  std::vector<Charge> batch;
+  MutexLock queue(queue_mutex_);
+  for (;;) {
+    while (pending_.empty() && !stopping_) queue.wait(work_cv_);
+    if (pending_.empty()) return;  // stopping, and every call is applied
+    batch.swap(pending_);
+    queue.unlock();
+    progress_cv_.notify_all();  // the backlog is empty again
+    std::exception_ptr failure;
+    try {
+      MutexLock state(mutex_);
+      for (const Charge& charge : batch) apply_locked(charge);
+    } catch (...) {
+      failure = std::current_exception();  // e.g. bad_alloc growing per_job_
+    }
+    queue.lock();
+    if (failure && !failure_) failure_ = failure;
+    applied_ += batch.size();
+    batch.clear();
+    progress_cv_.notify_all();
+  }
+}
+
+void CacheSim::await_applied() const {
+  MutexLock lock(queue_mutex_);
+  const std::uint64_t target = enqueued_;
+  while (applied_ < target) lock.wait(progress_cv_);
+  if (failure_) std::rethrow_exception(failure_);
 }
 
 // The per-line walk of a range stamps line `first + k` with tick
@@ -33,16 +93,13 @@ void CacheSim::access(std::uint64_t addr, std::uint32_t job_id) {
 // the range misses and evicts the set's oldest line: the set ends up holding
 // its last `ways_` lines of the range. Only the first `ways_` lines per set
 // need a lookup; which way holds which line is never observable.
-void CacheSim::access_range(std::uint64_t base, std::size_t len, std::uint32_t job_id,
-                            std::uint32_t weight) {
-  if (len == 0 || weight == 0) return;
-  const std::uint64_t first = base / line_bytes_;
-  const std::uint64_t lines = (base + len - 1) / line_bytes_ - first + 1;
+void CacheSim::apply_locked(const Charge& charge) {
+  const std::uint64_t first = charge.base / line_bytes_;
+  const std::uint64_t lines = (charge.base + charge.len - 1) / line_bytes_ - first + 1;
   const std::uint64_t stride = num_sets_;
   const std::uint64_t touched_sets = std::min<std::uint64_t>(lines, stride);
   std::uint64_t misses = 0;
 
-  MutexLock lock(mutex_);
   const std::uint64_t tick0 = tick_;
   for (std::uint64_t i = 0; i < touched_sets; ++i) {
     const std::uint64_t line0 = first + i;
@@ -61,9 +118,9 @@ void CacheSim::access_range(std::uint64_t base, std::size_t len, std::uint32_t j
   }
   tick_ += lines;
 
-  const std::uint64_t accesses = lines * weight;
+  const std::uint64_t accesses = lines * charge.weight;
   const std::uint64_t bytes = misses * line_bytes_;
-  CacheStats& js = stats_for_locked(job_id);
+  CacheStats& js = stats_for_locked(charge.job_id);
   for (CacheStats* stats : {&total_, &js}) {
     stats->accesses += accesses;
     stats->misses += misses;
@@ -98,23 +155,27 @@ CacheStats& CacheSim::stats_for_locked(std::uint32_t job_id) {
 }
 
 CacheStats CacheSim::total_stats() const {
+  await_applied();
   MutexLock lock(mutex_);
   return total_;
 }
 
 CacheStats CacheSim::job_stats(std::uint32_t job_id) const {
+  await_applied();
   MutexLock lock(mutex_);
   if (job_id >= per_job_.size()) return CacheStats{};
   return per_job_[job_id];
 }
 
 void CacheSim::reset_stats() {
+  await_applied();
   MutexLock lock(mutex_);
   total_ = CacheStats{};
   per_job_.clear();
 }
 
 void CacheSim::reset() {
+  await_applied();
   MutexLock lock(mutex_);
   total_ = CacheStats{};
   per_job_.clear();

@@ -28,6 +28,10 @@ struct CacheStats {
 class CacheSim {
  public:
   CacheSim(std::size_t capacity_bytes, std::size_t ways, std::size_t line_bytes);
+  /// Applies every pending charge, then joins the applier.
+  ~CacheSim();
+  CacheSim(const CacheSim&) = delete;
+  CacheSim& operator=(const CacheSim&) = delete;
 
   /// One access at byte address `addr`, attributed to `job_id`.
   void access(std::uint64_t addr, std::uint32_t job_id);
@@ -36,11 +40,18 @@ class CacheSim {
   /// attributed to `job_id`. `weight` repeats each line access (used to model
   /// re-walks cheaply). Exactly equivalent to walking the lines one by one,
   /// but each set looks up at most `ways` lines of the range and fast-forwards
-  /// the rest (all misses under LRU), so a call costs O(sets x ways), not
-  /// O(lines). Calls are serialised whole.
+  /// the rest (all misses under LRU), so applying a call costs O(sets x ways),
+  /// not O(lines).
+  ///
+  /// access() and access_range() only enqueue the call and return; the
+  /// applier thread applies calls whole, one at a time, in the order they were
+  /// enqueued. A caller blocks only while kMaxPending calls are waiting.
   void access_range(std::uint64_t base, std::size_t len, std::uint32_t job_id,
                     std::uint32_t weight = 1);
 
+  /// Reads and resets first wait until every call enqueued before them has
+  /// been applied, so a single caller sees exactly the stats of a synchronous
+  /// simulator.
   [[nodiscard]] CacheStats total_stats() const;
   [[nodiscard]] CacheStats job_stats(std::uint32_t job_id) const;
 
@@ -51,7 +62,20 @@ class CacheSim {
   /// Invalidates all cached lines and clears stats.
   void reset();
 
+  /// Calls that may wait to be applied before a caller blocks. It bounds the
+  /// backlog's memory (256 x 24 B) and how far the model lags the callers: a
+  /// read waits for the whole backlog, so a deeper one holds a finishing
+  /// job's stats read, and its worker, that much longer.
+  static constexpr std::size_t kMaxPending = 256;
+
  private:
+  struct Charge {
+    std::uint64_t base;
+    std::uint64_t len;
+    std::uint32_t job_id;
+    std::uint32_t weight;
+  };
+
   struct Way {
     std::uint64_t tag = ~0ULL;
     std::uint64_t last_use = 0;
@@ -62,7 +86,13 @@ class CacheSim {
   /// it `tick`; on a miss the line replaces an invalid or the oldest way.
   /// Returns whether it hit.
   static bool touch(Way* set, std::size_t ways, std::uint64_t line_addr, std::uint64_t tick);
+  /// The LRU model itself: one call's effect on the sets and the stats.
+  void apply_locked(const Charge& charge) REQUIRES(mutex_);
   CacheStats& stats_for_locked(std::uint32_t job_id) REQUIRES(mutex_);
+  /// Returns once every call enqueued before this one has been applied, and
+  /// rethrows the first exception the applier caught, if any.
+  void await_applied() const EXCLUDES(queue_mutex_);
+  void run_applier() EXCLUDES(queue_mutex_, mutex_);
 
   std::size_t ways_;
   std::size_t line_bytes_;
@@ -72,6 +102,16 @@ class CacheSim {
   CacheStats total_ GUARDED_BY(mutex_);
   std::vector<CacheStats> per_job_ GUARDED_BY(mutex_);
   mutable Mutex mutex_;
+
+  std::vector<Charge> pending_ GUARDED_BY(queue_mutex_);
+  std::uint64_t enqueued_ GUARDED_BY(queue_mutex_) = 0;  // calls ever enqueued
+  std::uint64_t applied_ GUARDED_BY(queue_mutex_) = 0;   // calls ever applied
+  bool stopping_ GUARDED_BY(queue_mutex_) = false;
+  std::exception_ptr failure_ GUARDED_BY(queue_mutex_);
+  mutable Mutex queue_mutex_;
+  std::condition_variable work_cv_;              // applier: calls pending or stopping
+  mutable std::condition_variable progress_cv_;  // readers and full-backlog producers
+  std::thread applier_;                          // last: uses every member above
 };
 
 }  // namespace graphm::sim

@@ -154,8 +154,11 @@ TEST(JobService, MidStreamSubmitSharesLoadsAndMatchesSolo) {
   JobService svc(store, config);
 
   // A long dense job opens the group: every iteration needs all 4
-  // partitions, so solo it costs exactly 60 * 4 loads.
-  const auto long_spec = pagerank_spec(60);
+  // partitions, so solo it costs exactly kLongIterations * 4 loads. It must
+  // outlast the short job's dispatch (occasionally a few ms on a loaded
+  // host), or the short job finds no group to attach to.
+  constexpr std::uint32_t kLongIterations = 150;
+  const auto long_spec = pagerank_spec(kLongIterations);
   auto long_handle = svc.submit(long_spec);
   // Wait until the group is demonstrably mid-stream (two iterations in).
   while (svc.sharing_stats().partition_loads < 8) {
@@ -179,7 +182,7 @@ TEST(JobService, MidStreamSubmitSharesLoadsAndMatchesSolo) {
   // deferral keeps them aligned. A handful of extra loads may appear from
   // the first-iteration phase offset; the short job's own 40 partition
   // visits must NOT replay as loads.
-  EXPECT_LE(sharing.partition_loads, 60u * 4u + 8u)
+  EXPECT_LE(sharing.partition_loads, kLongIterations * 4u + 8u)
       << "late submission must not reload what the group already streams";
 
   expect_matches_solo(store, short_spec, short_record.outcome.result);

@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "sim/cache_sim.hpp"
 #include "sim/memory_tracker.hpp"
@@ -166,40 +175,139 @@ TEST(CacheSim, FastForwardMatchesPerLineReference) {
   const Geometry geometries[] = {
       {16 * 1024, 16, 64}, {8 * 1024, 8, 64}, {5 * 4 * 64, 4, 64}, {64 * 64, 1, 64}};
   constexpr std::uint32_t kJobs = 5;
-  for (const Geometry& geo : geometries) {
-    SCOPED_TRACE(::testing::Message() << geo.ways << "-way, " << geo.capacity << " B");
-    CacheSim fast(geo.capacity, geo.ways, geo.line);
-    PerLineLru oracle(geo.capacity, geo.ways, geo.line);
-    util::SplitMix64 rng(0xCAC4E + geo.ways);
-    // Overlapping buffers (the second starts inside the first) plus a
-    // disjoint one, so later ranges re-touch lines earlier ones left behind.
-    const std::uint64_t buffers[] = {0x10000, 0x10000 + 3 * geo.capacity / 2 + 24, 0x900000};
-    for (int call = 0; call < 2000; ++call) {
-      const std::uint32_t job = static_cast<std::uint32_t>(rng.next_below(kJobs));
-      const std::uint64_t base = buffers[rng.next_below(3)] + rng.next_below(4 * geo.capacity);
-      const std::uint64_t pick = rng.next_below(20);
-      if (pick == 0) {
-        fast.reset_stats();
-        oracle.reset_stats();
-      } else if (pick < 5) {
-        fast.access(base, job);
-        oracle.access(base, job);
-      } else {
-        // Shorter than, about, and far longer than the cache (num_sets x ways).
-        const std::size_t len = pick < 12 ? rng.next_below(geo.capacity) + 1
-                                : pick < 17 ? rng.next_below(3 * geo.capacity) + 1
-                                            : rng.next_below(8 * geo.capacity) + 1;
-        const std::uint32_t weight = static_cast<std::uint32_t>(rng.next_below(4));
-        fast.access_range(base, len, job, weight);
-        oracle.access_range(base, len, job, weight);
+  // The first pass reads after every call, so each call is applied on its
+  // own. The second issues the same calls and reads only at the end (a
+  // reset_stats still waits for the calls before it), so the applier replays
+  // them in batches: a dropped, repeated or reordered call shows there.
+  for (const bool read_every_call : {true, false}) {
+    for (const Geometry& geo : geometries) {
+      SCOPED_TRACE(::testing::Message() << geo.ways << "-way, " << geo.capacity << " B, "
+                                        << (read_every_call ? "read every call" : "read once"));
+      CacheSim fast(geo.capacity, geo.ways, geo.line);
+      PerLineLru oracle(geo.capacity, geo.ways, geo.line);
+      util::SplitMix64 rng(0xCAC4E + geo.ways);
+      // Overlapping buffers (the second starts inside the first) plus a
+      // disjoint one, so later ranges re-touch lines earlier ones left behind.
+      const std::uint64_t buffers[] = {0x10000, 0x10000 + 3 * geo.capacity / 2 + 24, 0x900000};
+      const auto expect_same = [&](int call) {
+        ASSERT_TRUE(same_stats(fast.total_stats(), oracle.total_stats())) << "call " << call;
+        for (std::uint32_t j = 0; j < kJobs; ++j) {
+          ASSERT_TRUE(same_stats(fast.job_stats(j), oracle.job_stats(j)))
+              << "call " << call << ", job " << j;
+        }
+      };
+      constexpr int kCalls = 2000;
+      for (int call = 0; call < kCalls; ++call) {
+        const std::uint32_t job = static_cast<std::uint32_t>(rng.next_below(kJobs));
+        const std::uint64_t base = buffers[rng.next_below(3)] + rng.next_below(4 * geo.capacity);
+        const std::uint64_t pick = rng.next_below(20);
+        if (pick == 0) {
+          fast.reset_stats();
+          oracle.reset_stats();
+        } else if (pick < 5) {
+          fast.access(base, job);
+          oracle.access(base, job);
+        } else {
+          // Shorter than, about, and far longer than the cache (num_sets x ways).
+          const std::size_t len = pick < 12 ? rng.next_below(geo.capacity) + 1
+                                  : pick < 17 ? rng.next_below(3 * geo.capacity) + 1
+                                              : rng.next_below(8 * geo.capacity) + 1;
+          const std::uint32_t weight = static_cast<std::uint32_t>(rng.next_below(4));
+          fast.access_range(base, len, job, weight);
+          oracle.access_range(base, len, job, weight);
+        }
+        if (read_every_call) expect_same(call);
       }
-      ASSERT_TRUE(same_stats(fast.total_stats(), oracle.total_stats())) << "call " << call;
-      for (std::uint32_t j = 0; j < kJobs; ++j) {
-        ASSERT_TRUE(same_stats(fast.job_stats(j), oracle.job_stats(j)))
-            << "call " << call << ", job " << j;
-      }
+      expect_same(kCalls);
     }
   }
+}
+
+// Runs `body` on its own thread and aborts the test binary if it has not
+// returned within `limit`: a hung thread can be neither joined nor skipped.
+void run_with_watchdog(std::chrono::seconds limit, const char* what,
+                       const std::function<void()>& body) {
+  std::promise<void> done;
+  std::future<void> returned = done.get_future();
+  std::thread runner([&] {
+    body();
+    done.set_value();
+  });
+  if (returned.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "watchdog: %s did not return within %lld s\n", what,
+                 static_cast<long long>(limit.count()));
+    std::abort();
+  }
+  runner.join();
+}
+
+TEST(CacheSim, ConcurrentCallsApplyWholeOnceAndDrainOnDestruction) {
+  // 64 sets x 16 ways. Applying a range of up to 512 lines costs
+  // microseconds, enqueueing it tens of nanoseconds, so 4 producers of
+  // 4 x kMaxPending calls each fill the backlog and block at its cap until
+  // the applier catches up.
+  constexpr std::size_t kLine = 64;
+  constexpr std::uint32_t kProducers = 4;
+  auto sim = std::make_unique<CacheSim>(64 * 16 * kLine, 16, kLine);
+  const auto issue = [&](util::SplitMix64& rng, std::uint32_t job) {
+    // Every producer walks the same 256 KiB window, so ranges overlap.
+    const std::uint64_t base = 0x40000 + rng.next_below(256 * 1024);
+    const std::size_t len = 1 + rng.next_below(512 * kLine);
+    const auto weight = static_cast<std::uint32_t>(1 + rng.next_below(3));
+    sim->access_range(base, len, job, weight);
+    return ((base + len - 1) / kLine - base / kLine + 1) * weight;
+  };
+
+  std::uint64_t expected[kProducers] = {};
+  bool monotone = true;
+  std::uint64_t reads = 0;
+  run_with_watchdog(std::chrono::seconds(300), "producers and reader", [&] {
+    std::atomic<bool> producing{true};
+    std::thread reader([&] {
+      std::uint64_t last = 0;
+      while (producing.load()) {
+        const std::uint64_t now = sim->total_stats().accesses;
+        if (now < last) monotone = false;
+        last = now;
+        ++reads;
+      }
+    });
+    std::vector<std::thread> producers;
+    for (std::uint32_t job = 0; job < kProducers; ++job) {
+      producers.emplace_back([&, job] {
+        util::SplitMix64 rng(0x5EED + job);
+        for (std::size_t i = 0; i < 4 * CacheSim::kMaxPending; ++i) {
+          expected[job] += issue(rng, job);
+        }
+      });
+    }
+    for (std::thread& t : producers) t.join();
+    producing = false;
+    reader.join();
+  });
+  EXPECT_TRUE(monotone) << "total accesses went backwards between reads";
+  EXPECT_GT(reads, 0u);
+
+  const CacheStats total = sim->total_stats();
+  CacheStats summed;
+  std::uint64_t expected_total = 0;
+  for (std::uint32_t job = 0; job < kProducers; ++job) {
+    const CacheStats js = sim->job_stats(job);
+    EXPECT_EQ(js.accesses, expected[job]) << "job " << job;
+    summed.accesses += js.accesses;
+    summed.misses += js.misses;
+    summed.bytes_swapped_in += js.bytes_swapped_in;
+    expected_total += expected[job];
+  }
+  EXPECT_EQ(total.accesses, expected_total);
+  EXPECT_TRUE(same_stats(summed, total));
+
+  // Destroying the simulator with calls still pending applies them and returns.
+  run_with_watchdog(std::chrono::seconds(120), "destructor", [&] {
+    util::SplitMix64 rng(0xD7);
+    for (std::size_t i = 0; i < CacheSim::kMaxPending; ++i) issue(rng, 0);
+    sim.reset();
+  });
 }
 
 TEST(CacheSim, FastForwardLeavesLastWaysPerSetResident) {
