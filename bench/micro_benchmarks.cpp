@@ -71,6 +71,35 @@ void BM_CacheSimStream(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheSimStream);
 
+// The shape the engine charges under -M: every job of a sharing group charges
+// the same chunk of the shared buffer plus its own 16-line hot set (frontier
+// words and engine state, fixed per job). 4 jobs share each 240-line chunk on
+// the default 256-set, 16-way LLC. The stats read waits for the applier, so
+// the timed work is the model's (wall time, since it runs on the applier
+// thread), and items/s is records applied per second.
+void BM_CacheSimSharedChunks(benchmark::State& state) {
+  constexpr std::uint32_t kJobs = 4;
+  constexpr std::uint64_t kLine = 64;
+  constexpr std::uint64_t kChunkBytes = 240 * kLine;
+  constexpr std::uint64_t kHotBytes = 16 * kLine;
+  constexpr std::uint64_t kBuffer = 0x10000000;
+  constexpr std::uint64_t kBufferBytes = 64ULL << 20;
+  constexpr std::uint64_t kHot = 0x40000000;
+  constexpr std::uint64_t kHotStride = 1 << 20;
+  sim::CacheSim cache(256 * 1024, 16, kLine);
+  std::uint64_t offset = 0;
+  for (auto _ : state) {
+    for (std::uint32_t job = 0; job < kJobs; ++job) {
+      cache.access_range(kBuffer + offset, kChunkBytes, job);
+      cache.access_range(kHot + job * kHotStride, kHotBytes, job);
+    }
+    benchmark::DoNotOptimize(cache.total_stats());
+    offset = (offset + kChunkBytes) % kBufferBytes;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * kJobs);
+}
+BENCHMARK(BM_CacheSimSharedChunks)->UseRealTime();
+
 void BM_PageCacheRead(benchmark::State& state) {
   sim::PageCacheSim cache(32 << 20, 4096, 100e6, 1e-4);
   std::uint64_t offset = 0;

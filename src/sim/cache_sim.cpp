@@ -18,8 +18,10 @@ std::size_t round_down_pow2(std::size_t v) {
 CacheSim::CacheSim(std::size_t capacity_bytes, std::size_t ways, std::size_t line_bytes)
     : ways_(ways), line_bytes_(line_bytes) {
   if (ways == 0 || line_bytes == 0) throw std::invalid_argument("CacheSim: zero ways/line");
+  // A 1-byte line at address ~0 would read as an unused way.
+  if (line_bytes < 2) throw std::invalid_argument("CacheSim: line under 2 bytes");
   num_sets_ = round_down_pow2(std::max<std::size_t>(1, capacity_bytes / (ways * line_bytes)));
-  sets_.assign(num_sets_ * ways_, Way{});
+  sets_.assign(num_sets_ * ways_, kEmpty);
   // Started only once the geometry is validated: a constructor that throws
   // must not leave a joinable thread behind.
   applier_ = std::thread([this] { run_applier(); });
@@ -85,14 +87,13 @@ void CacheSim::await_applied() const {
   if (failure_) std::rethrow_exception(failure_);
 }
 
-// The per-line walk of a range stamps line `first + k` with tick
-// `tick_ + k + 1` and touches set s's lines in ascending order. Sets never
-// interact and ticks are only compared within a set, so each set is replayed
-// on its own. Under LRU, once a set has seen `ways_` distinct lines of the
-// range it holds exactly those (the stack property), so every later line of
-// the range misses and evicts the set's oldest line: the set ends up holding
-// its last `ways_` lines of the range. Only the first `ways_` lines per set
-// need a lookup; which way holds which line is never observable.
+// The per-line walk of a range touches set s's lines in ascending order, and
+// sets never interact, so each set is replayed on its own. Under LRU, once a
+// set has seen `ways_` distinct lines of the range it holds exactly those
+// (the stack property), so every later line of the range misses and pushes
+// out the set's least recent line: the set ends up holding its last `ways_`
+// lines of the range, newest first. Only the first `ways_` lines per set need
+// a lookup; the rest are counted as misses and the set is written directly.
 void CacheSim::apply_locked(const Charge& charge) {
   const std::uint64_t first = charge.base / line_bytes_;
   const std::uint64_t lines = (charge.base + charge.len - 1) / line_bytes_ - first + 1;
@@ -100,23 +101,18 @@ void CacheSim::apply_locked(const Charge& charge) {
   const std::uint64_t touched_sets = std::min<std::uint64_t>(lines, stride);
   std::uint64_t misses = 0;
 
-  const std::uint64_t tick0 = tick_;
   for (std::uint64_t i = 0; i < touched_sets; ++i) {
     const std::uint64_t line0 = first + i;
     const std::uint64_t count = (lines - 1 - i) / stride + 1;  // this set's lines
     const std::uint64_t looked_up = std::min<std::uint64_t>(count, ways_);
-    Way* set = &sets_[static_cast<std::size_t>(line0 & (stride - 1)) * ways_];
+    std::uint64_t* set = &sets_[static_cast<std::size_t>(line0 & (stride - 1)) * ways_];
     for (std::uint64_t j = 0; j < looked_up; ++j) {
-      if (!touch(set, ways_, line0 + j * stride, tick0 + i + j * stride + 1)) ++misses;
+      if (!touch(set, ways_, line0 + j * stride)) ++misses;
     }
     if (count <= ways_) continue;
     misses += count - ways_;
-    for (std::size_t w = 0; w < ways_; ++w) {
-      const std::uint64_t k = count - ways_ + w;
-      set[w] = Way{line0 + k * stride, tick0 + i + k * stride + 1, true};
-    }
+    for (std::size_t w = 0; w < ways_; ++w) set[w] = line0 + (count - 1 - w) * stride;
   }
-  tick_ += lines;
 
   const std::uint64_t accesses = lines * charge.weight;
   const std::uint64_t bytes = misses * line_bytes_;
@@ -128,25 +124,14 @@ void CacheSim::apply_locked(const Charge& charge) {
   }
 }
 
-bool CacheSim::touch(Way* set, std::size_t ways, std::uint64_t line_addr, std::uint64_t tick) {
-  std::size_t victim = 0;
-  std::uint64_t oldest = ~0ULL;
-  for (std::size_t w = 0; w < ways; ++w) {
-    if (set[w].valid && set[w].tag == line_addr) {
-      set[w].last_use = tick;
-      return true;
-    }
-    if (!set[w].valid) {
-      // Prefer an invalid way outright.
-      victim = w;
-      oldest = 0;
-    } else if (set[w].last_use < oldest) {
-      oldest = set[w].last_use;
-      victim = w;
-    }
-  }
-  set[victim] = Way{line_addr, tick, true};
-  return false;
+bool CacheSim::touch(std::uint64_t* set, std::size_t ways, std::uint64_t line_addr) {
+  // Stop at the line or at the last way, which a miss drops.
+  std::size_t p = 0;
+  while (p + 1 < ways && set[p] != line_addr) ++p;
+  const bool hit = set[p] == line_addr;
+  for (; p > 0; --p) set[p] = set[p - 1];
+  set[0] = line_addr;
+  return hit;
 }
 
 CacheStats& CacheSim::stats_for_locked(std::uint32_t job_id) {
@@ -179,8 +164,7 @@ void CacheSim::reset() {
   MutexLock lock(mutex_);
   total_ = CacheStats{};
   per_job_.clear();
-  std::fill(sets_.begin(), sets_.end(), Way{});
-  tick_ = 0;
+  std::fill(sets_.begin(), sets_.end(), kEmpty);
 }
 
 }  // namespace graphm::sim

@@ -27,6 +27,10 @@ struct CacheStats {
 
 class CacheSim {
  public:
+  /// Throws std::invalid_argument for zero ways or a line under 2 bytes: a
+  /// set marks an unused way with the line address ~0, which no line address
+  /// (a byte address divided by the line size) reaches once lines are at
+  /// least 2 bytes.
   CacheSim(std::size_t capacity_bytes, std::size_t ways, std::size_t line_bytes);
   /// Applies every pending charge, then joins the applier.
   ~CacheSim();
@@ -76,16 +80,15 @@ class CacheSim {
     std::uint32_t weight;
   };
 
-  struct Way {
-    std::uint64_t tag = ~0ULL;
-    std::uint64_t last_use = 0;
-    bool valid = false;
-  };
+  /// Marks an unused way; always at the tail of a set.
+  static constexpr std::uint64_t kEmpty = ~0ULL;
 
-  /// One LRU lookup of `line_addr` in the `ways`-way set at `set`, stamping
-  /// it `tick`; on a miss the line replaces an invalid or the oldest way.
-  /// Returns whether it hit.
-  static bool touch(Way* set, std::size_t ways, std::uint64_t line_addr, std::uint64_t tick);
+  /// One LRU lookup of `line_addr` in the `ways`-way set at `set`, which
+  /// holds its lines most recent first. A hit at position p moves the line
+  /// to the front past the p lines before it; a miss shifts the whole set
+  /// down one place, dropping the least recent line (or an unused way), and
+  /// puts the line at the front. Returns whether it hit.
+  static bool touch(std::uint64_t* set, std::size_t ways, std::uint64_t line_addr);
   /// The LRU model itself: one call's effect on the sets and the stats.
   void apply_locked(const Charge& charge) REQUIRES(mutex_);
   CacheStats& stats_for_locked(std::uint32_t job_id) REQUIRES(mutex_);
@@ -97,8 +100,9 @@ class CacheSim {
   std::size_t ways_;
   std::size_t line_bytes_;
   std::size_t num_sets_;
-  std::uint64_t tick_ GUARDED_BY(mutex_) = 0;
-  std::vector<Way> sets_ GUARDED_BY(mutex_);  // num_sets_ * ways_, row-major
+  // num_sets_ x ways_ line addresses, row-major; each set most recent first,
+  // unused ways (kEmpty) at its tail.
+  std::vector<std::uint64_t> sets_ GUARDED_BY(mutex_);
   CacheStats total_ GUARDED_BY(mutex_);
   std::vector<CacheStats> per_job_ GUARDED_BY(mutex_);
   mutable Mutex mutex_;

@@ -99,6 +99,12 @@ TEST(FailureInjection, ZeroPartitionPreprocessRejected) {
 TEST(FailureInjection, CacheSimRejectsDegenerateGeometry) {
   EXPECT_THROW(sim::CacheSim(1024, 0, 64), std::invalid_argument);
   EXPECT_THROW(sim::CacheSim(1024, 4, 0), std::invalid_argument);
+  // A 1-byte line could reach the unused-way sentinel ~0; a 2-byte one cannot.
+  EXPECT_THROW(sim::CacheSim(1024, 4, 1), std::invalid_argument);
+  sim::CacheSim two_byte_lines(1024, 4, 2);
+  two_byte_lines.access(~0ULL, 0);
+  two_byte_lines.access(~0ULL, 0);
+  EXPECT_EQ(two_byte_lines.total_stats().misses, 1u);
 }
 
 TEST(FailureInjection, UnknownDatasetThrows) {

@@ -171,9 +171,10 @@ TEST(CacheSim, FastForwardMatchesPerLineReference) {
   struct Geometry {
     std::size_t capacity, ways, line;
   };
-  // 16-, 8-, 4- and 1-way; 5 x 4 x 64 rounds down to 4 sets.
-  const Geometry geometries[] = {
-      {16 * 1024, 16, 64}, {8 * 1024, 8, 64}, {5 * 4 * 64, 4, 64}, {64 * 64, 1, 64}};
+  // 16-, 8-, 4- and 1-way; 5 x 4 x 64 rounds down to 4 sets. 12-way (not a
+  // power of two) has 8 sets, and 32-way (more than 16) has 4.
+  const Geometry geometries[] = {{16 * 1024, 16, 64}, {8 * 1024, 8, 64}, {5 * 4 * 64, 4, 64},
+                                 {64 * 64, 1, 64},    {8 * 12 * 64, 12, 64}, {4 * 32 * 64, 32, 64}};
   constexpr std::uint32_t kJobs = 5;
   // The first pass reads after every call, so each call is applied on its
   // own. The second issues the same calls and reads only at the end (a
