@@ -240,12 +240,13 @@ int stream_comparison() {
       run_stream_mode(store, jobs, sequential, /*use_blocks=*/true, pool_threads);
 
   // Deterministic parallel PageRank: the network-intensive headline workload
-  // used to be serial-by-contract (fp summation order); striped accumulation
-  // lets it fan out across the pool with bit-identical results, so the
-  // multi-thread column below is the algorithm the fig09 mix is heaviest on
-  // actually using the workers. Serial-path measurement guards against
-  // regression from the striping itself (same config as before the change,
-  // one thread, sequential scheme — clean timers).
+  // used to be serial-by-contract (fp summation order); destination-block
+  // accumulation fans it out across the pool, one grid block per task, with
+  // bit-identical results, so the multi-thread column below is the algorithm
+  // the fig09 mix is heaviest on actually using the workers. Serial-path
+  // measurement guards against regression from the fan-out itself (same
+  // config as before the change, one thread, sequential scheme — clean
+  // timers).
   const auto pagerank_jobs =
       runtime::uniform_mix(algos::AlgorithmKind::kPageRank, 4, g.num_vertices(), 7);
   const auto pagerank_serial =

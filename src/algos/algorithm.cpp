@@ -19,23 +19,4 @@ graph::EdgeCount StreamingAlgorithm::process_edge_block(const graph::Edge* edges
   return processed;
 }
 
-graph::EdgeCount StreamingAlgorithm::process_edge_block_striped(const graph::Edge* edges,
-                                                                graph::EdgeCount n,
-                                                                const util::AtomicBitmap& active,
-                                                                std::uint32_t stripe) {
-  // Scalar fallback for the striped mode: same per-edge protocol as
-  // process_edge_block plus the stripe-ownership gate. Every source-active
-  // edge is relaxed by exactly one stripe (its destination's owner), so the
-  // counts of all stripes sum to the plain block count.
-  graph::EdgeCount processed = 0;
-  for (graph::EdgeCount i = 0; i < n; ++i) {
-    const graph::Edge& e = edges[i];
-    if (active.get(e.src) && dst_stripe_of(e.dst) == stripe) {
-      process_edge(e);
-      ++processed;
-    }
-  }
-  return processed;
-}
-
 }  // namespace graphm::algos

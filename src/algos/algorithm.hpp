@@ -81,38 +81,40 @@ class StreamingAlgorithm {
   /// the scalar fallback the equivalence tests pin overrides against.
   /// Overrides must be observably identical to that fallback.
   ///
-  /// When parallel_safe() is true and dst_stripes() == 0, engines may invoke
-  /// this concurrently from several worker threads on disjoint blocks of the
-  /// same iteration. Striped algorithms (dst_stripes() > 0) are fanned out
-  /// via process_edge_block_striped instead; their plain block calls stay
-  /// serial.
+  /// When parallel_safe() is true, engines may invoke this concurrently from
+  /// several worker threads within one iteration: on any disjoint blocks,
+  /// or, when dst_disjoint_fan_out() is true, only on blocks whose
+  /// destination sets are disjoint (see below).
   virtual graph::EdgeCount process_edge_block(const graph::Edge* edges, graph::EdgeCount n,
                                               const util::AtomicBitmap& active);
 
   /// True iff the engine may fan this job's relaxations across a thread pool
   /// without changing the result at any thread count. Two ways to qualify:
   ///
-  ///  * dst_stripes() == 0 — concurrent process_edge_block / process_edge
-  ///    calls on disjoint blocks are safe AND leave a state independent of
-  ///    the interleaving (order-independent relaxations: atomic min,
-  ///    idempotent writes).
-  ///  * dst_stripes() > 0 — striped accumulation: the engine partitions the
-  ///    fan-out by destination stripe (process_edge_block_striped), never by
-  ///    block, so an order-sensitive reduction stays deterministic. See below.
+  ///  * dst_disjoint_fan_out() == false — concurrent process_edge_block /
+  ///    process_edge calls on disjoint blocks are safe AND leave a state
+  ///    independent of the interleaving (order-independent relaxations:
+  ///    atomic min, idempotent writes).
+  ///  * dst_disjoint_fan_out() == true — the engine fans out only over
+  ///    destination-disjoint grid blocks, so an order-sensitive reduction
+  ///    stays deterministic. See below.
   [[nodiscard]] virtual bool parallel_safe() const { return false; }
 
   // -------------------------------------------------------------------------
-  // Striped accumulation — the deterministic parallel mode for algorithms
-  // whose relaxation is an order-sensitive reduction (PageRank's
+  // Destination-block accumulation — the deterministic parallel mode for
+  // algorithms whose relaxation is an order-sensitive reduction (PageRank's
   // floating-point `next[dst] += contribution[src]`).
   //
-  // Ownership rule: destination vertices are split into dst_stripes() fixed
-  // stripes — a pure function of the graph, never of the thread count — and
-  // each stripe is relaxed by exactly one task that scans the range in
-  // stream order. A given destination's contributions therefore arrive in
-  // exactly the order the serial scan would deliver them, no matter how many
-  // workers the engine owns or which worker picks up which stripe, so the
-  // result is bit-identical to the serial block path at any thread count.
+  // Ownership rule: the store's 2-level grid puts the edges of row i whose
+  // destinations lie in vertex_range(j) in block (i, j). The engine's
+  // parallel work unit is the part of a streamed range that lies in one
+  // block, streamed in stream order by one task, so two concurrent calls
+  // never share a destination and a given destination's contributions
+  // arrive in exactly the order the serial scan would deliver them — the
+  // result is bit-identical to the serial block path at any thread count,
+  // and every edge is handed to the kernel once. Ranges inside one block,
+  // stores with one block per partition and spans whose content does not
+  // follow the layout (snapshot overlays) run serially.
   //
   // Partition grouping: engines additionally announce each partition with
   // begin_partition() before streaming its chunks. Algorithms that
@@ -125,30 +127,12 @@ class StreamingAlgorithm {
   // reference oracle, the job profiler) get the flat single-group behaviour.
   // -------------------------------------------------------------------------
 
-  /// Number of destination stripes for striped accumulation; 0 (default)
-  /// means the algorithm does not use the striped mode. Must be constant for
-  /// the lifetime of the instance and independent of any engine/thread
-  /// configuration.
-  [[nodiscard]] virtual std::uint32_t dst_stripes() const { return 0; }
-
-  /// Maps a destination vertex to its owning stripe, < dst_stripes(). Must be
-  /// a pure function of (dst, init-time inputs). Only meaningful when
-  /// dst_stripes() > 0.
-  [[nodiscard]] virtual std::uint32_t dst_stripe_of(graph::VertexId dst) const {
-    (void)dst;
-    return 0;
-  }
-
-  /// Streams a block like process_edge_block but relaxes only the edges whose
-  /// destination lies in `stripe` (source gating unchanged); returns the
-  /// number relaxed. Engines may call this concurrently for *different*
-  /// stripes of the same range; calls for the same stripe are serial and in
-  /// stream order. The default gates per edge via dst_stripe_of + process_edge
-  /// (the scalar fallback, observably identical to any override).
-  virtual graph::EdgeCount process_edge_block_striped(const graph::Edge* edges,
-                                                      graph::EdgeCount n,
-                                                      const util::AtomicBitmap& active,
-                                                      std::uint32_t stripe);
+  /// True iff concurrent process_edge_block calls must have disjoint
+  /// destination sets (destination-block accumulation above); false (the
+  /// default) lets the engine fan out over any disjoint edge blocks. Only
+  /// consulted when parallel_safe(). Must be constant for the lifetime of
+  /// the instance.
+  [[nodiscard]] virtual bool dst_disjoint_fan_out() const { return false; }
 
   /// Announces that the edges streamed until the next begin_partition (or
   /// iteration end) belong to partition `pid` of `num_partitions`. Called by

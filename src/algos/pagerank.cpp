@@ -70,44 +70,6 @@ graph::EdgeCount PageRank::process_edge_block(const graph::Edge* edges, graph::E
   });
 }
 
-graph::EdgeCount PageRank::process_edge_block_striped(const graph::Edge* edges,
-                                                      graph::EdgeCount n,
-                                                      const util::AtomicBitmap& active,
-                                                      std::uint32_t stripe) {
-  // One stripe task scans the whole range but relaxes only its own dst
-  // slice, in stream order — per destination, exactly the serial order.
-  // Equal-width stripes make the ownership test two compares on a dense
-  // range instead of a division per edge.
-  const graph::VertexId lo = stripe_begin(stripe);
-  const graph::VertexId hi = stripe_begin(stripe + 1);  // == n at the last stripe
-  const double* contribution = contribution_.data();
-  double* next = partial_cur_;
-  if (&active == &active_) {
-    graph::EdgeCount processed = 0;
-    for (graph::EdgeCount i = 0; i < n; ++i) {
-      const graph::Edge& e = edges[i];
-      if (e.dst >= lo && e.dst < hi) {
-        next[e.dst] += contribution[e.src];
-        ++processed;
-      }
-    }
-    return processed;
-  }
-  // Foreign frontier: gate per edge, but count only the edges this stripe
-  // actually relaxed (gated_block_loop would count every source-active edge).
-  util::WordCache active_words(active);
-  graph::EdgeCount processed = 0;
-  for (graph::EdgeCount i = 0; i < n; ++i) {
-    const graph::Edge& e = edges[i];
-    if (!active_words.test(e.src)) continue;
-    if (e.dst >= lo && e.dst < hi) {
-      next[e.dst] += contribution[e.src];
-      ++processed;
-    }
-  }
-  return processed;
-}
-
 void PageRank::iteration_end() {
   // Fixed-shape merge: partials fold into next_ in ascending partition order
   // regardless of the order partitions were streamed in. Untouched entries

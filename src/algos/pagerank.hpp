@@ -3,15 +3,16 @@
 // graph). Push-style: each edge adds rank[src]/deg[src] into the next sums.
 //
 // Deterministic parallel mode: PageRank's accumulation is order-sensitive
-// floating point, so instead of block fan-out it opts into the striped-
-// accumulation contract (see algorithm.hpp): destination vertices are split
-// into kDstStripes fixed equal-width stripes, each stripe is relaxed by one
-// task scanning the range in stream order, and contributions accumulate into
-// one partial array per partition, merged in ascending partition order at
-// iteration_end. The per-destination summation order is then a pure function
-// of the graph layout — independent of thread count, of which worker owns
-// which stripe, and of the order partitions are visited in — so -S/-C/-M
-// produce byte-identical values_span() at any stream-thread count.
+// floating point, so instead of edge-block fan-out it opts into destination-
+// block accumulation (see algorithm.hpp): the engine hands concurrent tasks
+// only the parts of a range that lie in different grid blocks, whose
+// destinations are disjoint, each in stream order, and contributions
+// accumulate into one partial array per partition, merged in ascending
+// partition order at iteration_end. The per-destination summation order is
+// then a pure function of the graph layout — independent of thread count, of
+// which worker takes which block, and of the order partitions are visited in
+// — so -S/-C/-M produce byte-identical values_span() at any stream-thread
+// count.
 #pragma once
 
 #include "algos/algorithm.hpp"
@@ -20,12 +21,6 @@ namespace graphm::algos {
 
 class PageRank final : public StreamingAlgorithm {
  public:
-  /// Fixed stripe count — a constant so the summation shape can never depend
-  /// on the engine's pool size. Wide enough to feed the repo's largest test
-  /// pools (8 workers) with slack for load balance on skewed dst
-  /// distributions.
-  static constexpr std::uint32_t kDstStripes = 16;
-
   PageRank(double damping, std::uint32_t max_iterations)
       : damping_(damping), max_iterations_(max_iterations) {}
 
@@ -37,14 +32,8 @@ class PageRank final : public StreamingAlgorithm {
   void process_edge(const graph::Edge& e) override;
   graph::EdgeCount process_edge_block(const graph::Edge* edges, graph::EdgeCount n,
                                       const util::AtomicBitmap& active) override;
-  graph::EdgeCount process_edge_block_striped(const graph::Edge* edges, graph::EdgeCount n,
-                                              const util::AtomicBitmap& active,
-                                              std::uint32_t stripe) override;
   [[nodiscard]] bool parallel_safe() const override { return true; }
-  [[nodiscard]] std::uint32_t dst_stripes() const override { return kDstStripes; }
-  [[nodiscard]] std::uint32_t dst_stripe_of(graph::VertexId dst) const override {
-    return stripe_of(dst);
-  }
+  [[nodiscard]] bool dst_disjoint_fan_out() const override { return true; }
   void begin_partition(std::uint32_t pid, std::uint32_t num_partitions) override;
   void iteration_end() override;
   [[nodiscard]] bool done() const override { return iterations_done_ >= max_iterations_; }
@@ -56,17 +45,6 @@ class PageRank final : public StreamingAlgorithm {
   [[nodiscard]] double damping() const { return damping_; }
 
  private:
-  [[nodiscard]] std::uint32_t stripe_of(graph::VertexId dst) const {
-    // Equal-width contiguous stripes: monotone in dst, so each stripe's
-    // relaxations touch one dense slice of the accumulator.
-    return static_cast<std::uint32_t>(std::uint64_t{dst} * kDstStripes / rank_.size());
-  }
-  /// First destination owned by `stripe` (inverse of stripe_of's floor map).
-  [[nodiscard]] graph::VertexId stripe_begin(std::uint32_t stripe) const {
-    return static_cast<graph::VertexId>(
-        (std::uint64_t{stripe} * rank_.size() + kDstStripes - 1) / kDstStripes);
-  }
-
   double damping_;
   std::uint32_t max_iterations_;
   std::uint32_t iterations_done_ = 0;

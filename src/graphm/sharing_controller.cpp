@@ -351,6 +351,9 @@ grid::PartitionView SharingController::build_view_locked(JobId job, PartitionId 
     if (const OverlayPtr* overlay = resolve_overlay_locked(job, pid, c)) {
       span.edges = (*overlay)->edges.data();
       span.edge_count = (*overlay)->edges.size();
+      // Replaced content need not follow the grid's block layout (nor keep
+      // the chunk's edge count), so the engine streams it serially.
+      span.stream_offset = grid::ChunkSpan::kNoLayout;
       // Overlays are relabelled when created, so their run index matches the
       // replaced content.
       span.runs = (*overlay)->info.runs.data();
@@ -364,6 +367,7 @@ grid::PartitionView SharingController::build_view_locked(JobId job, PartitionId 
     } else {
       span.edges = shared_buffer_.data() + info.edge_begin;
       span.edge_count = info.total_edges();
+      span.stream_offset = info.edge_begin;
       span.runs = info.runs.data();
       span.num_runs = static_cast<std::uint32_t>(info.runs.size());
       span.runs_sorted = info.runs_sorted;
@@ -379,9 +383,12 @@ grid::PartitionView SharingController::build_view_locked(JobId job, PartitionId 
   if (table.chunks.empty() && !shared_buffer_.empty()) {
     // Partition without a chunk table (shouldn't happen after Init, but keep
     // the engine safe): expose it as a single chunk.
-    view.chunks.push_back(grid::ChunkSpan{
-        shared_buffer_.data(), shared_buffer_.size(),
-        reinterpret_cast<std::uint64_t>(shared_buffer_.data()), 0});
+    grid::ChunkSpan span;
+    span.edges = shared_buffer_.data();
+    span.edge_count = shared_buffer_.size();
+    span.stream_offset = 0;
+    span.llc_base = reinterpret_cast<std::uint64_t>(span.edges);
+    view.chunks.push_back(span);
   }
   return view;
 }

@@ -39,6 +39,7 @@ std::optional<PartitionView> DefaultLoader::acquire_next(std::uint32_t job_id) {
   span.edge_count = buffer_.size();
   span.llc_base = reinterpret_cast<std::uint64_t>(buffer_.data());
   span.chunk_id = 0;
+  span.stream_offset = 0;  // the whole row, in block order
   // No run index here: full-partition spans get theirs from the engine's
   // shared per-partition cache (immutable structure metadata, one copy per
   // engine rather than one per job).

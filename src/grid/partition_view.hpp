@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -13,8 +14,18 @@
 namespace graphm::grid {
 
 struct ChunkSpan {
+  /// `stream_offset` value of a span whose content does not follow the
+  /// store's block layout (snapshot overlays, ad-hoc test spans).
+  static constexpr graph::EdgeCount kNoLayout = std::numeric_limits<graph::EdgeCount>::max();
+
   const graph::Edge* edges = nullptr;
   graph::EdgeCount edge_count = 0;
+  /// Where edges[0] sits in the partition's base edge stream (the store's
+  /// row of blocks): 0 for a full-partition span, the chunk's edge_begin for
+  /// a GraphM base chunk. The engine intersects the span with the store's
+  /// block boundaries to fan order-sensitive reductions out by destination
+  /// block; kNoLayout streams the span serially.
+  graph::EdgeCount stream_offset = kNoLayout;
   /// Address fed to the LLC simulator (the span's actual buffer address, so
   /// shared buffers hit the same simulated lines and private copies do not).
   std::uint64_t llc_base = 0;

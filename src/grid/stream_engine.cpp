@@ -9,9 +9,34 @@
 
 namespace graphm::grid {
 
+namespace {
+
+/// Per row, the start of each block in the partition's edge stream plus the
+/// row's end: (blocks_per_partition + 1) entries per row. Empty for layouts
+/// with one block per partition, which have no destination blocks to fan
+/// out over.
+std::vector<graph::EdgeCount> row_block_starts(const GridMeta& meta) {
+  const std::uint32_t blocks = meta.blocks_per_partition;
+  if (blocks <= 1) return {};
+  const std::size_t stride = std::size_t{blocks} + 1;
+  std::vector<graph::EdgeCount> starts(meta.num_partitions * stride);
+  for (std::uint32_t i = 0; i < meta.num_partitions; ++i) {
+    graph::EdgeCount at = 0;
+    for (std::uint32_t j = 0; j < blocks; ++j) {
+      starts[i * stride + j] = at;
+      at += meta.block_edges[meta.block_index(i, j)];
+    }
+    starts[i * stride + blocks] = at;
+  }
+  return starts;
+}
+
+}  // namespace
+
 StreamEngine::StreamEngine(const storage::PartitionedStore& store, sim::Platform& platform, StreamConfig config)
     : store_(store), platform_(platform), config_(config),
       out_degrees_(store.load_out_degrees()),
+      block_starts_(row_block_starts(store.meta())),
       run_cache_(store.meta().num_partitions),
       run_cache_once_(store.meta().num_partitions) {
   if (config_.num_stream_threads > 1) {
@@ -55,35 +80,56 @@ std::vector<std::uint32_t> StreamEngine::active_partitions(
 }
 
 std::uint64_t StreamEngine::stream_range(algos::StreamingAlgorithm& algorithm,
-                                         const ChunkSpan& span, graph::EdgeCount begin,
-                                         graph::EdgeCount len,
+                                         const ChunkSpan& span, std::uint32_t pid,
+                                         graph::EdgeCount begin, graph::EdgeCount len,
                                          const util::AtomicBitmap& active,
                                          bool fan_out) const {
   const graph::EdgeCount block = std::max<graph::EdgeCount>(1, config_.block_edges);
-  if (!fan_out || len <= block) {
+  const auto stream_serial = [&](graph::EdgeCount from, graph::EdgeCount count) {
     std::uint64_t processed = 0;
-    for (graph::EdgeCount off = 0; off < len; off += block) {
-      const graph::EdgeCount n = std::min(block, len - off);
-      processed += algorithm.process_edge_block(span.edges + begin + off, n, active);
+    for (graph::EdgeCount off = 0; off < count; off += block) {
+      const graph::EdgeCount n = std::min(block, count - off);
+      processed += algorithm.process_edge_block(span.edges + from + off, n, active);
     }
     return processed;
-  }
+  };
+  if (!fan_out || len <= block) return stream_serial(begin, len);
 
-  const std::uint32_t stripes = algorithm.dst_stripes();
-  if (stripes > 0) {
-    // Striped fan-out (order-sensitive reductions, e.g. PageRank): the work
-    // unit is a destination stripe, not a block. Each stripe task scans the
-    // whole range in stream order and relaxes only the destinations it owns,
-    // so the per-destination summation order is the serial one no matter how
-    // many workers run or which worker takes which stripe. Per-stripe relaxed
-    // counts partition the source-active edges (each edge belongs to exactly
-    // one dst stripe), so the integer-reduced total matches the serial scan.
+  if (algorithm.dst_disjoint_fan_out()) {
+    // Destination-block fan-out (order-sensitive reductions, e.g. PageRank):
+    // the work unit is the part of the range that lies in one grid block.
+    // Block (pid, j) holds only destinations in vertex_range(j), so the tasks
+    // touch disjoint destinations, and each streams its part in stream
+    // order: every destination's contributions arrive in the serial order at
+    // any thread count, and every edge is handed to the kernel once. A range
+    // inside one block, a store with one block per partition (the shard
+    // store) and content off the layout (snapshot overlays) run serially.
+    if (block_starts_.empty() || span.stream_offset == ChunkSpan::kNoLayout) {
+      return stream_serial(begin, len);
+    }
+    const std::uint32_t blocks = store_.meta().blocks_per_partition;
+    const graph::EdgeCount* starts = block_starts_.data() + std::size_t{pid} * (blocks + 1);
+    const graph::EdgeCount lo = span.stream_offset + begin;
+    const graph::EdgeCount hi = lo + len;
+    if (hi > starts[blocks]) return stream_serial(begin, len);  // not this row's layout
+    // Blocks holding the range's first and last edge (empty blocks share
+    // their successor's start, so upper_bound skips them).
+    const auto block_of = [&](graph::EdgeCount edge) {
+      return static_cast<std::uint32_t>(std::upper_bound(starts, starts + blocks, edge) -
+                                        starts - 1);
+    };
+    const std::uint32_t first = block_of(lo);
+    const std::uint32_t last = block_of(hi - 1);
+    if (first == last) return stream_serial(begin, len);
     std::atomic<std::uint64_t> processed{0};
-    pool_->parallel_for(stripes, [&](std::size_t s) {
-      processed.fetch_add(
-          algorithm.process_edge_block_striped(span.edges + begin, len, active,
-                                               static_cast<std::uint32_t>(s)),
-          std::memory_order_relaxed);
+    pool_->parallel_for(last - first + 1, [&](std::size_t t) {
+      const std::uint32_t j = first + static_cast<std::uint32_t>(t);
+      const graph::EdgeCount from = std::max(lo, starts[j]);
+      const graph::EdgeCount to = std::min(hi, starts[j + 1]);
+      if (from < to) {
+        processed.fetch_add(stream_serial(from - span.stream_offset, to - from),
+                            std::memory_order_relaxed);
+      }
     });
     return processed.load(std::memory_order_relaxed);
   }
@@ -103,7 +149,7 @@ std::uint64_t StreamEngine::stream_range(algos::StreamingAlgorithm& algorithm,
 }
 
 std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
-                                         const ChunkSpan& span,
+                                         const ChunkSpan& span, std::uint32_t pid,
                                          const util::AtomicBitmap& active,
                                          bool fan_out, bool dense) const {
   if (!config_.use_blocks) {
@@ -120,7 +166,7 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
   }
 
   if (dense || span.runs == nullptr || span.num_runs == 0) {
-    return stream_range(algorithm, span, 0, span.edge_count, active, fan_out);
+    return stream_range(algorithm, span, pid, 0, span.edge_count, active, fan_out);
   }
 
   // Source-run skipping: streaming is bandwidth-bound, so the win on an
@@ -159,7 +205,7 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
         segment_begin = run_begin;
         have_segment = true;
       } else if (run_begin - segment_end >= kMinSkipEdges) {
-        processed += stream_range(algorithm, span, segment_begin,
+        processed += stream_range(algorithm, span, pid, segment_begin,
                                   segment_end - segment_begin, active, fan_out);
         segment_begin = run_begin;
       }
@@ -200,7 +246,7 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
     r = static_cast<std::uint32_t>(it - span.runs);
   }
   if (have_segment) {
-    processed += stream_range(algorithm, span, segment_begin,
+    processed += stream_range(algorithm, span, pid, segment_begin,
                               segment_end - segment_begin, active, fan_out);
   }
   return processed;
@@ -235,7 +281,7 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
     while (auto view = loader.acquire_next(job_id)) {
       const std::uint64_t part_start_ns = tracing ? tracer.now_ns() : 0;
       ++stats.partitions_loaded;
-      // Partition-grouping seam of the striped-accumulation contract: every
+      // Partition-grouping seam of destination-block accumulation: every
       // engine path (legacy scalar, blocks, pooled) announces the partition
       // so accumulating algorithms group contributions identically — the
       // property that makes PageRank byte-identical across -S/-C/-M and any
@@ -275,7 +321,7 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
 
         util::Timer chunk_timer;
         const std::uint64_t active_edges =
-            stream_chunk(algorithm, span, active, fan_out, dense);
+            stream_chunk(algorithm, span, view->pid, active, fan_out, dense);
         const std::uint64_t elapsed = chunk_timer.elapsed_ns();
 
         stats.edges_streamed += span.edge_count;

@@ -12,10 +12,12 @@
 // whose override runs a tight devirtualized loop (word-at-a-time frontier
 // tests). When the engine owns a thread pool and the algorithm declares
 // parallel_safe(), the chunk fans out across the pool — the paper's intra-job
-// `#threads == #cores` axis (Figure 20) — in one of two shapes: by block for
-// order-independent relaxations, or by destination stripe for order-sensitive
-// reductions (dst_stripes() > 0, e.g. PageRank), which keeps results
-// bit-identical at any thread count. The engine also announces each
+// `#threads == #cores` axis (Figure 20) — in one of two shapes: by edge block
+// for order-independent relaxations, or by destination grid block for
+// order-sensitive reductions (dst_disjoint_fan_out(), e.g. PageRank). Grid
+// block (i, j) holds only destinations in vertex_range(j), so those tasks
+// touch disjoint destinations, each edge is handed to the kernel once, and
+// results stay bit-identical at any thread count. The engine also announces each
 // partition via begin_partition so accumulating algorithms can group
 // contributions by the graph layout rather than visit order. All simulated
 // metrics are issued from the calling thread after each chunk's blocks
@@ -52,7 +54,8 @@ struct StreamConfig {
   /// job running on the engine; a job's blocks are only fanned out when its
   /// algorithm is parallel_safe().
   std::size_t num_stream_threads = 1;
-  /// Edges per process_edge_block dispatch (also the parallel work unit).
+  /// Edges per process_edge_block dispatch (also the parallel work unit of
+  /// order-independent algorithms; ranges this short always run serially).
   graph::EdgeCount block_edges = 16384;
   std::uint64_t max_iterations_guard = 100000;  // safety net against bugs
 };
@@ -115,13 +118,14 @@ class StreamEngine {
   /// that every source in the partition's vertex range is active, which
   /// bypasses the source-run skip index (nothing to skip).
   std::uint64_t stream_chunk(algos::StreamingAlgorithm& algorithm, const ChunkSpan& span,
-                             const util::AtomicBitmap& active, bool fan_out,
-                             bool dense) const;
+                             std::uint32_t pid, const util::AtomicBitmap& active,
+                             bool fan_out, bool dense) const;
 
-  /// Streams [begin, begin+len) of `span` as block_edges-sized batches,
-  /// serially or across the pool.
+  /// Streams [begin, begin+len) of `span` (a chunk of partition `pid`) as
+  /// block_edges-sized batches, serially or across the pool: by edge block,
+  /// or by destination grid block for dst_disjoint_fan_out() algorithms.
   std::uint64_t stream_range(algos::StreamingAlgorithm& algorithm, const ChunkSpan& span,
-                             graph::EdgeCount begin, graph::EdgeCount len,
+                             std::uint32_t pid, graph::EdgeCount begin, graph::EdgeCount len,
                              const util::AtomicBitmap& active, bool fan_out) const;
 
   struct RunIndex {
@@ -145,6 +149,11 @@ class StreamEngine {
   sim::Platform& platform_;
   StreamConfig config_;
   std::vector<std::uint32_t> out_degrees_;
+  /// Per row, each grid block's first edge in the partition's edge stream
+  /// plus the row's end (blocks_per_partition + 1 entries per row), from
+  /// meta.block_edges; empty with one block per partition. Immutable
+  /// layout metadata, like out_degrees_.
+  std::vector<graph::EdgeCount> block_starts_;
   std::unique_ptr<util::ThreadPool> pool_;  // present iff num_stream_threads > 1
 
   mutable Mutex run_cache_mutex_;  // guards only the tracked byte counter

@@ -23,6 +23,12 @@ namespace graphm::storage {
 /// Layout metadata of a partitioned on-disk graph. `partition` is the unit
 /// the loaders move in and out of memory; partitions subdivide into blocks
 /// only for formats that need it (the grid's P columns per row).
+///
+/// Block invariant: when blocks_per_partition > 1, partition i's edge stream
+/// is its blocks back to back in ascending j, and block (i, j) holds only
+/// edges whose destinations lie in vertex_range(j) (GridGraph's 2-level
+/// grid). The streaming engine relies on it to fan order-sensitive
+/// reductions out over destination-disjoint blocks.
 struct StoreMeta {
   graph::VertexId num_vertices = 0;
   graph::EdgeCount num_edges = 0;

@@ -43,36 +43,40 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     return;
   }
 
-  // Per-call completion state. Helpers hold a shared_ptr so the state stays
-  // valid even if they only start after the caller has drained every index.
+  // Per-call completion state. Completion counts finished indices, not
+  // helpers: once every index has run the call returns, even if some helper
+  // is still queued behind other work. Helpers hold a shared_ptr so the
+  // state outlives the call; a helper that starts after every index was
+  // claimed exits without touching fn (which may be gone by then).
   struct Group {
     std::atomic<std::size_t> next{0};
     Mutex mutex;
-    std::size_t helpers_left GUARDED_BY(mutex) = 0;
+    std::size_t finished GUARDED_BY(mutex) = 0;
     std::condition_variable done;
   };
   auto group = std::make_shared<Group>();
-  const std::size_t helpers = std::min(workers_.size(), n - 1);
-  {
-    MutexLock lock(group->mutex);
-    group->helpers_left = helpers;
-  }
+  const auto run_indices = [n](Group& g, const std::function<void(std::size_t)>& f) {
+    std::size_t ran = 0;
+    for (std::size_t i = g.next.fetch_add(1); i < n; i = g.next.fetch_add(1)) {
+      f(i);
+      ++ran;
+    }
+    if (ran == 0) return;
+    MutexLock lock(g.mutex);
+    g.finished += ran;
+    if (g.finished == n) g.done.notify_all();
+  };
 
+  const std::size_t helpers = std::min(workers_.size(), n - 1);
   for (std::size_t h = 0; h < helpers; ++h) {
-    submit([group, n, &fn] {
-      for (std::size_t i = group->next.fetch_add(1); i < n; i = group->next.fetch_add(1)) {
-        fn(i);
-      }
-      MutexLock lock(group->mutex);
-      if (--group->helpers_left == 0) group->done.notify_all();
-    });
+    submit([group, run_indices, &fn] { run_indices(*group, fn); });
   }
   // The caller works too: even with every pool worker busy elsewhere, the
   // call makes progress and cannot deadlock.
-  for (std::size_t i = group->next.fetch_add(1); i < n; i = group->next.fetch_add(1)) fn(i);
+  run_indices(*group, fn);
 
   MutexLock lock(group->mutex);
-  while (group->helpers_left != 0) lock.wait(group->done);
+  while (group->finished != n) lock.wait(group->done);
 }
 
 void ThreadPool::worker_loop() {

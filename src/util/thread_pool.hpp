@@ -32,10 +32,11 @@ class ThreadPool {
   void wait_idle();
 
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// The calling thread participates, and completion is tracked per call (not
-  /// via pool idleness), so concurrent parallel_for calls from different
-  /// threads — e.g. several jobs streaming through one shared engine pool —
-  /// never wait on each other's work. fn must not block on other fn calls.
+  /// The calling thread participates, and the call returns as soon as every
+  /// index has run — it never waits for a queued helper that found nothing
+  /// left to do — so concurrent parallel_for calls from different threads
+  /// (e.g. several jobs streaming through one shared engine pool) never wait
+  /// on each other's work. fn must not block on other fn calls.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

@@ -6,11 +6,14 @@
 // not influence the correctness of the final results").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "algos/reference.hpp"
 #include "graphm/graphm.hpp"
+#include "shard/graphchi_engine.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/workloads.hpp"
 #include "test_helpers.hpp"
@@ -27,7 +30,7 @@ void expect_same_results(const RunMetrics& a, const RunMetrics& b) {
     ASSERT_EQ(ra.size(), rb.size()) << a.scheme << " vs " << b.scheme << " job " << j;
     for (std::size_t v = 0; v < ra.size(); ++v) {
       // Bit-identical across schemes for every algorithm — including
-      // PageRank, whose striped accumulation fixes the summation shape
+      // PageRank, whose destination-block accumulation fixes the summation shape
       // regardless of partition visit order (no tolerance escape hatch).
       ASSERT_EQ(ra[v], rb[v])
           << a.scheme << " vs " << b.scheme << " job " << j << " ("
@@ -98,15 +101,14 @@ TEST(SchemeEquivalence, SharedModeWithManyIdenticalJobs) {
 // deterministic at any worker-thread count (1/2/8).
 // ---------------------------------------------------------------------------
 
-/// Forwards everything except process_edge_block, so the engine exercises the
-/// base-class scalar fallback (which loops the wrapped algorithm's
-/// process_edge) instead of the algorithm's devirtualized override.
-class ScalarFallback final : public algos::StreamingAlgorithm {
+/// Forwards every call to a wrapped algorithm, so the engine drives the
+/// wrapped algorithm in its own mode (parallel_safe, dst_disjoint_fan_out).
+class Forwarding : public algos::StreamingAlgorithm {
  public:
-  explicit ScalarFallback(std::unique_ptr<algos::StreamingAlgorithm> inner)
+  explicit Forwarding(std::unique_ptr<algos::StreamingAlgorithm> inner)
       : inner_(std::move(inner)) {}
 
-  [[nodiscard]] std::string name() const override { return inner_->name() + "-fallback"; }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
   void init(graph::VertexId n, const std::vector<std::uint32_t>& degrees,
             sim::MemoryTracker* tracker) override {
     inner_->init(n, degrees, tracker);
@@ -116,14 +118,13 @@ class ScalarFallback final : public algos::StreamingAlgorithm {
     return inner_->active_vertices();
   }
   void process_edge(const graph::Edge& e) override { inner_->process_edge(e); }
+  graph::EdgeCount process_edge_block(const graph::Edge* edges, graph::EdgeCount n,
+                                      const util::AtomicBitmap& active) override {
+    return inner_->process_edge_block(edges, n, active);
+  }
   [[nodiscard]] bool parallel_safe() const override { return inner_->parallel_safe(); }
-  // Striped-accumulation plumbing forwards so the engine drives the wrapped
-  // algorithm in the same mode — but process_edge_block_striped is NOT
-  // forwarded: the base-class striped fallback (per-edge dst_stripe_of +
-  // process_edge) is what this wrapper exists to exercise.
-  [[nodiscard]] std::uint32_t dst_stripes() const override { return inner_->dst_stripes(); }
-  [[nodiscard]] std::uint32_t dst_stripe_of(graph::VertexId dst) const override {
-    return inner_->dst_stripe_of(dst);
+  [[nodiscard]] bool dst_disjoint_fan_out() const override {
+    return inner_->dst_disjoint_fan_out();
   }
   void begin_partition(std::uint32_t pid, std::uint32_t num_partitions) override {
     inner_->begin_partition(pid, num_partitions);
@@ -137,6 +138,57 @@ class ScalarFallback final : public algos::StreamingAlgorithm {
 
  private:
   std::unique_ptr<algos::StreamingAlgorithm> inner_;
+};
+
+/// Routes process_edge_block to the base-class scalar fallback (which loops
+/// the wrapped algorithm's process_edge) instead of the algorithm's
+/// devirtualized override. Under a pool the engine calls it concurrently —
+/// on disjoint edge blocks, or on destination-disjoint grid blocks for
+/// PageRank.
+class ScalarFallback final : public Forwarding {
+ public:
+  using Forwarding::Forwarding;
+  [[nodiscard]] std::string name() const override { return Forwarding::name() + "-fallback"; }
+  graph::EdgeCount process_edge_block(const graph::Edge* edges, graph::EdgeCount n,
+                                      const util::AtomicBitmap& active) override {
+    return StreamingAlgorithm::process_edge_block(edges, n, active);
+  }
+};
+
+/// Counts what the engine hands the kernel: the edges over all
+/// process_edge_block calls, and, per partition, the calls made off the
+/// job's own thread (by pool workers).
+class EdgeCounter final : public Forwarding {
+ public:
+  EdgeCounter(std::unique_ptr<algos::StreamingAlgorithm> inner, std::uint32_t partitions)
+      : Forwarding(std::move(inner)), pooled_calls_(partitions) {}
+
+  void init(graph::VertexId n, const std::vector<std::uint32_t>& degrees,
+            sim::MemoryTracker* tracker) override {
+    job_thread_ = std::this_thread::get_id();  // engines call init on the job's thread
+    Forwarding::init(n, degrees, tracker);
+  }
+  void begin_partition(std::uint32_t pid, std::uint32_t num_partitions) override {
+    pid_.store(pid);
+    Forwarding::begin_partition(pid, num_partitions);
+  }
+  graph::EdgeCount process_edge_block(const graph::Edge* edges, graph::EdgeCount n,
+                                      const util::AtomicBitmap& active) override {
+    edges_handed_.fetch_add(n);
+    if (std::this_thread::get_id() != job_thread_) pooled_calls_[pid_.load()].fetch_add(1);
+    return Forwarding::process_edge_block(edges, n, active);
+  }
+
+  [[nodiscard]] std::uint64_t edges_handed() const { return edges_handed_.load(); }
+  [[nodiscard]] std::uint64_t pooled_calls(std::uint32_t pid) const {
+    return pooled_calls_[pid].load();
+  }
+
+ private:
+  std::thread::id job_thread_;
+  std::atomic<std::uint32_t> pid_{0};
+  std::atomic<std::uint64_t> edges_handed_{0};
+  std::vector<std::atomic<std::uint64_t>> pooled_calls_;
 };
 
 struct EngineRun {
@@ -217,7 +269,7 @@ TEST(BlockVsScalar, EngineAgreesWithEngineFreeStreamingOracle) {
   // reference::run_streaming drives the same algorithms per-edge over the raw
   // edge list — no engine, no grid, no blocks. Exact for the order-independent
   // algorithms; PageRank's engine runs group contributions per partition
-  // (striped-accumulation contract) while the engine-free oracle folds flat,
+  // (destination-block accumulation contract) while the engine-free oracle folds flat,
   // a different rounding shape — hence the (tiny) tolerance here. Cross-
   // scheme and cross-thread-count comparisons are exact; see
   // PageRankBitIdentical below.
@@ -269,9 +321,9 @@ TEST(BlockVsScalar, SortedRunJumpMatchesScalarOnSparseFrontiers) {
 
 // ---------------------------------------------------------------------------
 // PageRank bit-identity: raw values_span() bytes (memcmp, not ASSERT_NEAR)
-// must agree across stream-thread counts {1, 2, 8}, across the -S/-C/-M
+// must agree across stream-thread counts {1, 2, 4, 8}, across the -S/-C/-M
 // loader schemes, and across adversarially permuted partition visit orders —
-// the striped-accumulation guarantee.
+// the destination-block accumulation guarantee.
 // ---------------------------------------------------------------------------
 
 /// DefaultLoader-alike that serves a job's active partitions in a seeded
@@ -305,6 +357,7 @@ class PermutedLoader final : public grid::PartitionLoader {
     grid::ChunkSpan span;
     span.edges = buffer_.data();
     span.edge_count = buffer_.size();
+    span.stream_offset = 0;  // a whole partition: fans out by destination block
     span.llc_base = reinterpret_cast<std::uint64_t>(buffer_.data());
     view.chunks.push_back(span);
     return view;
@@ -392,7 +445,8 @@ TEST(PageRankBitIdentical, AcrossThreadCountsSchemesAndPartitionOrder) {
     }
   };
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     // -S: one job, private loader, ascending order.
     expect_bytes(run_value_bytes(store, spec, 1, threads, LoaderKind::kDefault),
                  "sequential", threads);
@@ -406,6 +460,198 @@ TEST(PageRankBitIdentical, AcrossThreadCountsSchemesAndPartitionOrder) {
     // Adversarial: partitions served in a per-iteration seeded permutation.
     expect_bytes(run_value_bytes(store, spec, 2, threads, LoaderKind::kPermuted),
                  "permuted", threads);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Destination-block fan-out: every edge is handed to the kernel once at any
+// thread count, and spans off the grid layout take the serial fallback.
+// ---------------------------------------------------------------------------
+
+/// GraphM chunk size for the tests below: 700 edges, which is not aligned to
+/// the grid's blocks, so chunks cut across block boundaries.
+constexpr std::size_t kOddChunkBytes = 700 * sizeof(graph::Edge);
+
+struct CountedRun {
+  std::vector<unsigned char> bytes;  // raw values_span()
+  grid::JobRunStats stats;
+  std::uint64_t instructions = 0;
+  std::uint64_t edges_handed = 0;
+  std::vector<std::uint64_t> pooled_calls;  // per partition
+};
+
+/// Runs one PageRank job wrapped in an EdgeCounter through `engine`.
+CountedRun run_counted(const grid::StreamEngine& engine, sim::Platform& platform,
+                       grid::PartitionLoader& loader) {
+  algos::JobSpec spec;
+  spec.kind = algos::AlgorithmKind::kPageRank;
+  spec.damping = 0.85;
+  spec.max_iterations = 5;
+  const std::uint32_t partitions = engine.store().meta().num_partitions;
+  EdgeCounter counter(algos::make_algorithm(spec), partitions);
+  CountedRun run;
+  run.stats = engine.run_job(0, counter, loader);
+  const auto [ptr, len] = counter.values_span();
+  const auto* p = static_cast<const unsigned char*>(ptr);
+  run.bytes.assign(p, p + len);
+  run.instructions = platform.instructions(0);
+  run.edges_handed = counter.edges_handed();
+  for (std::uint32_t pid = 0; pid < partitions; ++pid) {
+    run.pooled_calls.push_back(counter.pooled_calls(pid));
+  }
+  return run;
+}
+
+grid::StreamConfig counted_config(bool use_blocks, std::size_t threads) {
+  grid::StreamConfig config;
+  config.use_blocks = use_blocks;
+  config.num_stream_threads = threads;
+  config.block_edges = 64;  // far below a chunk, so chunk ranges fan out
+  config.model_llc = false;
+  return config;
+}
+
+void expect_same_run(const CountedRun& oracle, const CountedRun& run, const std::string& label) {
+  EXPECT_EQ(oracle.bytes, run.bytes) << label << ": values_span bytes differ";
+  EXPECT_EQ(oracle.stats.edges_processed, run.stats.edges_processed) << label;
+  EXPECT_EQ(oracle.stats.edges_streamed, run.stats.edges_streamed) << label;
+  EXPECT_EQ(oracle.instructions, run.instructions) << label;
+}
+
+TEST(DstBlockFanOut, EveryEdgeHandedOnceAtAnyThreadCount) {
+  const auto g = test::small_rmat(700, 9000, 7);
+  const grid::GridStore store = test::make_grid(g, 4);
+  const storage::StoreMeta& meta = store.meta();
+
+  // The GraphM chunks must really straddle block boundaries.
+  {
+    sim::Platform platform;
+    core::GraphMOptions options;
+    options.chunk_bytes_override = kOddChunkBytes;
+    core::GraphM graphm(store, platform, options);
+    graphm.init();
+    std::size_t straddling = 0;
+    for (std::uint32_t pid = 0; pid < meta.num_partitions; ++pid) {
+      for (const core::ChunkInfo& chunk : graphm.chunk_tables()[pid].chunks) {
+        graph::EdgeCount start = 0;
+        for (std::uint32_t j = 1; j < meta.blocks_per_partition; ++j) {
+          start += meta.block_edges[meta.block_index(pid, j - 1)];
+          if (chunk.edge_begin < start && start < chunk.edge_end) {
+            ++straddling;
+            break;
+          }
+        }
+      }
+    }
+    ASSERT_GT(straddling, 1u);
+  }
+
+  CountedRun oracle;
+  {
+    sim::Platform platform;
+    const grid::StreamEngine engine(store, platform, counted_config(false, 1));
+    grid::DefaultLoader loader(store, platform);
+    oracle = run_counted(engine, platform, loader);
+  }
+  ASSERT_GT(oracle.stats.edges_streamed, 0u);
+
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    for (const bool shared : {false, true}) {
+      sim::Platform platform;
+      const grid::StreamEngine engine(store, platform, counted_config(true, threads));
+      core::GraphMOptions options;
+      options.chunk_bytes_override = kOddChunkBytes;
+      core::GraphM graphm(store, platform, options);
+      std::unique_ptr<grid::PartitionLoader> loader;
+      if (shared) {
+        graphm.init();
+        loader = graphm.make_loader(0);
+      } else {
+        loader = std::make_unique<grid::DefaultLoader>(store, platform);
+      }
+      const CountedRun run = run_counted(engine, platform, *loader);
+      const std::string label = std::string(shared ? "GraphM chunks" : "default loader") +
+                                " at " + std::to_string(threads) + " threads";
+      EXPECT_EQ(run.edges_handed, run.stats.edges_streamed)
+          << label << ": an edge was handed to the kernel more than once";
+      expect_same_run(oracle, run, label);
+    }
+  }
+}
+
+/// Rewrites a chunk so its content no longer follows the grid layout: the
+/// same edges in reverse order, so no block's edges sit where the layout
+/// says.
+std::vector<graph::Edge> reversed(std::vector<graph::Edge> edges) {
+  std::reverse(edges.begin(), edges.end());
+  return edges;
+}
+
+TEST(DstBlockFanOut, SnapshotOverlaysStreamSerially) {
+  const auto g = test::small_rmat(700, 9000, 7);
+  const grid::GridStore store = test::make_grid(g, 4);
+  constexpr std::uint32_t kUpdated = 0;  // every chunk replaced by an update
+  constexpr std::uint32_t kMutated = 1;  // every chunk replaced by a mutation
+
+  const auto run = [&](bool use_blocks, std::size_t threads) {
+    sim::Platform platform;
+    const grid::StreamEngine engine(store, platform, counted_config(use_blocks, threads));
+    core::GraphMOptions options;
+    options.chunk_bytes_override = kOddChunkBytes;
+    core::GraphM graphm(store, platform, options);
+    graphm.init();
+    core::SharingController& controller = graphm.controller();
+    const auto base_content = [&](std::uint32_t pid, std::uint32_t chunk) {
+      controller.register_job(99);
+      auto content = controller.chunk_content(99, pid, chunk);
+      controller.job_finished(99);
+      return content;
+    };
+    const auto chunks = [&](std::uint32_t pid) {
+      return static_cast<std::uint32_t>(graphm.chunk_tables()[pid].chunks.size());
+    };
+    for (std::uint32_t c = 0; c < chunks(kUpdated); ++c) {
+      controller.apply_update(kUpdated, c, reversed(base_content(kUpdated, c)));
+    }
+    auto loader = graphm.make_loader(0);  // registers job 0 after the updates
+    for (std::uint32_t c = 0; c < chunks(kMutated); ++c) {
+      controller.apply_mutation(0, kMutated, c, reversed(base_content(kMutated, c)));
+    }
+    return run_counted(engine, platform, *loader);
+  };
+
+  // The oracle: the legacy per-edge loop over the same overlays.
+  const CountedRun oracle = run(false, 1);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    const CountedRun pooled = run(true, threads);
+    const std::string label = std::to_string(threads) + " threads";
+    expect_same_run(oracle, pooled, label);
+    EXPECT_EQ(pooled.edges_handed, pooled.stats.edges_streamed) << label;
+    EXPECT_EQ(pooled.pooled_calls[kUpdated], 0u) << label << ": update overlay fanned out";
+    EXPECT_EQ(pooled.pooled_calls[kMutated], 0u) << label << ": mutation overlay fanned out";
+  }
+}
+
+TEST(DstBlockFanOut, ShardStoreStreamsSerially) {
+  // One block per shard: no destination blocks to fan out over.
+  const auto g = test::small_rmat(700, 9000, 7);
+  const shard::ShardStore store = test::make_shards(g, 4);
+  const auto run = [&](bool use_blocks, std::size_t threads) {
+    sim::Platform platform;
+    const shard::GraphChiEngine engine(store, platform, counted_config(use_blocks, threads));
+    auto loader = engine.make_default_loader();
+    return run_counted(engine.core(), platform, *loader);
+  };
+  const CountedRun oracle = run(false, 1);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    const CountedRun pooled = run(true, threads);
+    const std::string label = std::to_string(threads) + " threads";
+    expect_same_run(oracle, pooled, label);
+    EXPECT_EQ(pooled.edges_handed, pooled.stats.edges_streamed) << label;
+    for (std::uint32_t pid = 0; pid < store.meta().num_partitions; ++pid) {
+      EXPECT_EQ(pooled.pooled_calls[pid], 0u) << label << " shard " << pid;
+    }
   }
 }
 

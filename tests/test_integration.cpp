@@ -63,7 +63,7 @@ TEST(Integration, SchedulingAblationChangesOrderNotAnswers) {
   const auto a = runtime::run_jobs(runtime::Scheme::kShared, store, jobs, with);
   const auto b = runtime::run_jobs(runtime::Scheme::kShared, store, jobs, without);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    // Exact, PageRank included: striped accumulation fixes the summation
+    // Exact, PageRank included: destination-block accumulation fixes the summation
     // shape, so the scheduler ablation may only change order, never bits.
     ASSERT_EQ(a.jobs[j].result, b.jobs[j].result) << "job " << j;
   }

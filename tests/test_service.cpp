@@ -43,7 +43,7 @@ std::vector<double> solo_run(const grid::GridStore& store, const algos::JobSpec&
 }
 
 /// WCC/BFS/SSSP relax via order-independent min/idempotent writes; PageRank's
-/// striped accumulation fixes its summation shape per graph layout. Any group
+/// destination-block accumulation fixes its summation shape per graph layout. Any group
 /// interleaving — including sharing-scheduler permutations of the partition
 /// order — is therefore bit-identical to a solo run for every algorithm.
 void expect_matches_solo(const grid::GridStore& store, const algos::JobSpec& spec,

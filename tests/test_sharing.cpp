@@ -182,7 +182,7 @@ TEST(SharingController, ManyJobsProduceCorrectResults) {
     const auto a = algorithms[j]->result();
     const auto b = solo->result();
     // Bit-identical for every kind, PageRank included: the sharing
-    // controller may reorder partition loads, but striped accumulation
+    // controller may reorder partition loads, but destination-block accumulation
     // makes the summation shape order-independent.
     ASSERT_EQ(a, b) << "job " << j;
   }

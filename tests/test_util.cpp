@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
 #include <thread>
 
@@ -202,6 +204,38 @@ TEST(ThreadPool, ConcurrentParallelForCallsAreIndependent) {
     });
   }
   for (auto& t : callers) t.join();
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForReturnsOnceCallerDrainsIndices) {
+  // Every pool worker is held by another task (another job's blocks in the
+  // shared engine pool), so parallel_for's helpers sit in the queue. The
+  // caller runs every index itself and must return without waiting for the
+  // queued helpers; when they run later they find nothing left and must not
+  // touch fn.
+  ThreadPool pool(2);
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> blocked{0};
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    pool.submit([&blocked, released] {
+      blocked.fetch_add(1);
+      released.wait();
+    });
+  }
+  while (blocked.load() != static_cast<int>(pool.size())) std::this_thread::yield();
+
+  constexpr std::size_t kN = 16;
+  std::vector<std::atomic<int>> hits(kN);
+  auto call = std::async(std::launch::async, [&] {
+    pool.parallel_for(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
+  });
+  // Bounded wait: a regression fails here instead of hanging the suite.
+  const bool returned = call.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();
+  call.get();
+  pool.wait_idle();
+  EXPECT_TRUE(returned) << "parallel_for waited for helpers queued behind blocked workers";
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
