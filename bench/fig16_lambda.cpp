@@ -12,8 +12,7 @@ int main() {
   util::TablePrinter table("Figure 16: normalized execution time vs lambda (ukunion_s)");
   table.set_header({"lambda", "S", "C", "M", "S/M speedup"});
 
-  double first_speedup = 0.0;
-  double last_speedup = 0.0;
+  std::vector<double> speedups;
   for (const double lambda : {2.0, 4.0, 6.0, 8.0, 10.0}) {
     const std::string tag = "fig16_l" + std::to_string(static_cast<int>(lambda));
     const auto customize = [&](runtime::ExecutorConfig& config,
@@ -29,11 +28,13 @@ int main() {
                    util::TablePrinter::fmt(c.total_s / s.total_s),
                    util::TablePrinter::fmt(m.total_s / s.total_s),
                    util::TablePrinter::fmt(speedup)});
-    if (first_speedup == 0.0) first_speedup = speedup;
-    last_speedup = speedup;
+    speedups.push_back(speedup);
   }
   table.print();
+  // One -M run at a given lambda is bimodal (the lambda=2 speedup has landed
+  // both below and above the lambda=10 one), so compare the mean of the two
+  // densest points against the two sparsest rather than single endpoints.
   print_shape("speedup grows with lambda (paper: higher lambda, higher gain)",
-              last_speedup > first_speedup);
+              speedups[3] + speedups[4] > speedups[0] + speedups[1]);
   return 0;
 }

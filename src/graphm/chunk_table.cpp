@@ -130,26 +130,16 @@ ChunkInfo label_chunk(const graph::Edge* edges, graph::EdgeCount count,
 }
 
 ChunkTable label_partition(const graph::Edge* edges, graph::EdgeCount count,
-                           std::size_t chunk_bytes, util::ThreadPool* pool) {
+                           std::size_t chunk_bytes) {
   ChunkTable table;
   if (count == 0) return table;
   const graph::EdgeCount edges_per_chunk =
       std::max<graph::EdgeCount>(1, chunk_bytes / sizeof(graph::Edge));
   // "edge_num * SG/|E| >= Sc or P_i is visited" — i.e. cut a chunk once its
-  // byte size reaches Sc, or at the end of the partition. The cuts depend
-  // only on the byte budget, so each chunk labels independently.
+  // byte size reaches Sc, or at the end of the partition.
   const auto num_chunks =
       static_cast<std::size_t>((count + edges_per_chunk - 1) / edges_per_chunk);
   table.chunks.resize(num_chunks);
-  if (pool != nullptr && num_chunks > 1) {
-    pool->parallel_for(num_chunks, [&](std::size_t c) {
-      const graph::EdgeCount begin = static_cast<graph::EdgeCount>(c) * edges_per_chunk;
-      const graph::EdgeCount n = std::min<graph::EdgeCount>(edges_per_chunk, count - begin);
-      SourceIndex scratch(std::min<std::size_t>(n, count));
-      table.chunks[c] = label_chunk_with(scratch, edges + begin, n, begin);
-    });
-    return table;
-  }
   SourceIndex scratch(std::min<std::size_t>(edges_per_chunk, count));
   for (std::size_t c = 0; c < num_chunks; ++c) {
     const graph::EdgeCount begin = static_cast<graph::EdgeCount>(c) * edges_per_chunk;

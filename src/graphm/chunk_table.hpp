@@ -5,8 +5,8 @@
 // LLC alongside the concurrent jobs' job-specific data; the specific graph
 // representation is never modified. Each chunk_table entry is the paper's
 // key-value pair <source vertex v, N+(v)> — the number of v's out-edges
-// inside the chunk — which is exactly what Formulas 2-4 need to compute
-// per-job computational loads without re-reading the graph.
+// inside the chunk — so a job's active edges in a chunk are known without
+// re-reading the graph.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +15,11 @@
 #include "graph/types.hpp"
 #include "sim/cost_model.hpp"
 #include "util/bitmap.hpp"
-#include "util/thread_pool.hpp"
 
 namespace graphm::core {
+
+/// Uv of Formula 1: every algorithm keeps one double per vertex.
+inline constexpr std::size_t kVertexValueBytes = sizeof(double);
 
 /// Formula 1: the largest chunk size Sc with
 ///   Sc*N + Sc*N/SG*|V|*Uv + r <= C_LLC,
@@ -69,11 +71,9 @@ struct ChunkTable {
 };
 
 /// Algorithm 1: labels one partition's edge stream into chunks of at most
-/// `chunk_bytes` (the final chunk may be smaller). Chunk boundaries are fixed
-/// by size alone, so with `pool` the chunks are labelled in parallel — the
-/// output is identical to the serial pass.
+/// `chunk_bytes` (the final chunk may be smaller).
 ChunkTable label_partition(const graph::Edge* edges, graph::EdgeCount count,
-                           std::size_t chunk_bytes, util::ThreadPool* pool = nullptr);
+                           std::size_t chunk_bytes);
 
 /// Re-labels a single chunk's (possibly mutated/updated) content in place;
 /// used when snapshots replace chunk data (Section 3.3.2: "Set_c also needs

@@ -9,14 +9,14 @@ namespace graphm::core {
 namespace {
 
 /// The Sharing() adapter: implements the engine's PartitionLoader seam on top
-/// of the sharing controller and the sync manager. The Start()/Barrier()
-/// notifications of Table 1 correspond to begin_chunk/end_chunk around the
-/// streaming of each shared chunk.
+/// of the sharing controller. The Start()/Barrier() notifications of Table 1
+/// correspond to begin_chunk/end_chunk around the streaming of each shared
+/// chunk.
 class SharedLoader final : public grid::PartitionLoader {
  public:
-  SharedLoader(SharingController& controller, SyncManager& sync, std::uint32_t job_id)
-      : controller_(controller), sync_(sync), job_id_(job_id) {
-    controller_.register_job(job_id_);
+  SharedLoader(SharingController& controller, std::uint32_t job_id)
+      : controller_(controller) {
+    controller_.register_job(job_id);
   }
 
   void register_iteration(std::uint32_t job_id,
@@ -29,7 +29,6 @@ class SharedLoader final : public grid::PartitionLoader {
   }
 
   void release(std::uint32_t job_id, std::uint32_t pid) override {
-    sync_.finish_partition(job_id);
     controller_.release(job_id, pid);
   }
 
@@ -37,11 +36,7 @@ class SharedLoader final : public grid::PartitionLoader {
     controller_.begin_chunk(job_id, pid, chunk_id);
   }
 
-  void end_chunk(std::uint32_t job_id, std::uint32_t pid, std::uint32_t chunk_id,
-                 std::uint64_t active_edges, std::uint64_t total_edges,
-                 std::uint64_t elapsed_ns) override {
-    // Profiling phase sample first, then the chunk barrier arrival.
-    sync_.record_chunk(job_id, active_edges, total_edges, elapsed_ns);
+  void end_chunk(std::uint32_t job_id, std::uint32_t pid, std::uint32_t chunk_id) override {
     controller_.end_chunk(job_id, pid, chunk_id);
   }
 
@@ -49,8 +44,6 @@ class SharedLoader final : public grid::PartitionLoader {
 
  private:
   SharingController& controller_;
-  SyncManager& sync_;
-  std::uint32_t job_id_;
 };
 
 }  // namespace
@@ -59,7 +52,6 @@ GraphM::GraphM(const storage::PartitionedStore& store, sim::Platform& platform, 
     : store_(store),
       platform_(platform),
       options_(options),
-      sync_(),
       controller_(store, platform, &chunk_tables_, options) {}
 
 GraphM::~GraphM() = default;
@@ -71,21 +63,16 @@ std::uint64_t GraphM::init() {
   chunk_bytes_ = options_.chunk_bytes_override != 0
                      ? options_.chunk_bytes_override
                      : chunk_size_bytes(platform_.config(), meta.num_edges * sizeof(graph::Edge),
-                                        meta.num_vertices, options_.vertex_value_bytes);
+                                        meta.num_vertices, kVertexValueBytes);
 
   chunk_tables_.clear();
   chunk_tables_.resize(meta.num_partitions);
-  // Partitions are read serially (the simulated page-cache charges stay in a
-  // deterministic order); the labelling passes fan out across the pool.
-  std::unique_ptr<util::ThreadPool> pool;
-  if (options_.label_threads > 1) {
-    pool = std::make_unique<util::ThreadPool>(options_.label_threads);
-  }
+  // Partitions are read and labelled serially, so the simulated page-cache
+  // charges stay in a deterministic order.
   std::vector<graph::Edge> buffer;
   for (std::uint32_t pid = 0; pid < meta.num_partitions; ++pid) {
     store_.read_partition(pid, buffer, platform_, kPreprocessJobId);
-    chunk_tables_[pid] = label_partition(buffer.data(), buffer.size(), chunk_bytes_,
-                                         pool.get());
+    chunk_tables_[pid] = label_partition(buffer.data(), buffer.size(), chunk_bytes_);
   }
   tables_tracking_ = sim::TrackedAllocation(&platform_.memory(),
                                             sim::MemoryCategory::kChunkTables, metadata_bytes());
@@ -101,7 +88,7 @@ std::uint64_t GraphM::metadata_bytes() const {
 
 std::unique_ptr<grid::PartitionLoader> GraphM::make_loader(std::uint32_t job_id) {
   if (!initialized_) throw std::logic_error("GraphM::make_loader before init()");
-  return std::make_unique<SharedLoader>(controller_, sync_, job_id);
+  return std::make_unique<SharedLoader>(controller_, job_id);
 }
 
 }  // namespace graphm::core

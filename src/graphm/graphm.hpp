@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "graphm/sharing_controller.hpp"
-#include "graphm/sync_manager.hpp"
 #include "grid/loader.hpp"
 
 namespace graphm::core {
@@ -40,14 +39,12 @@ class GraphM {
   [[nodiscard]] std::uint64_t metadata_bytes() const;
 
   /// Registers a job and returns its Sharing() loader. One loader per job
-  /// thread; the loader routes register_iteration/acquire/release through the
-  /// sharing controller and feeds chunk timings to the sync manager.
+  /// thread; the loader routes every PartitionLoader call, chunk boundaries
+  /// included, to the sharing controller.
   std::unique_ptr<grid::PartitionLoader> make_loader(std::uint32_t job_id);
 
   [[nodiscard]] SharingController& controller() { return controller_; }
   [[nodiscard]] const SharingController& controller() const { return controller_; }
-  [[nodiscard]] SyncManager& sync() { return sync_; }
-  [[nodiscard]] const SyncManager& sync() const { return sync_; }
   [[nodiscard]] const storage::PartitionedStore& store() const { return store_; }
 
  private:
@@ -57,7 +54,6 @@ class GraphM {
   std::size_t chunk_bytes_ = 0;
   std::vector<ChunkTable> chunk_tables_;
   sim::TrackedAllocation tables_tracking_;
-  SyncManager sync_;
   SharingController controller_;
   bool initialized_ = false;
 };

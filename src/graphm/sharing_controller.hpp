@@ -1,6 +1,6 @@
 // The graph sharing controller (Section 3.3) plus the consistent-snapshot
-// machinery (Section 3.3.2) and the chunk-grained synchronization barrier
-// the synchronization manager drives (Section 3.4.2).
+// machinery (Section 3.3.2) and the chunk-grained lock-step barrier of the
+// fine-grained synchronization (Section 3.4.2).
 //
 // One SharingController serves all concurrent jobs of one graph:
 //  * a global table maps each partition to the set of jobs that must process
@@ -32,7 +32,6 @@
 #include "graphm/scheduler.hpp"
 #include "grid/grid_store.hpp"
 #include "grid/partition_view.hpp"
-#include "obs/metrics.hpp"
 #include "sim/platform.hpp"
 
 namespace graphm::core {
@@ -40,11 +39,7 @@ namespace graphm::core {
 struct GraphMOptions {
   bool use_scheduling = true;      // Section 4 strategy (Figure 18 ablation)
   bool fine_grained_sync = true;   // chunk barrier (ablation)
-  std::size_t vertex_value_bytes = sizeof(double);  // Uv of Formula 1
-  std::size_t chunk_bytes_override = 0;             // 0 = Formula 1
-  /// Workers for Init()'s labelling pass (Algorithm 1). Chunk boundaries are
-  /// size-determined, so parallel labelling is bit-identical to serial.
-  std::size_t label_threads = 1;
+  std::size_t chunk_bytes_override = 0;  // 0 = Formula 1
   /// Open-loop service mode (Algorithm 2 taken to its limit): a job whose
   /// needs include the partition already resident in the shared buffer may
   /// attach to the round in flight instead of waiting for the next round.
@@ -105,9 +100,6 @@ class SharingController {
   [[nodiscard]] std::size_t live_jobs() const;
   /// Currently retained snapshot chunk copies (after GC).
   [[nodiscard]] std::size_t snapshot_chunks_live() const;
-  /// Re-homes Stats into `registry` under `graphm.sharing.*` (publish-style:
-  /// overwrites with current totals, callable at any snapshot point).
-  void publish_metrics(obs::Registry& registry) const;
 
  private:
   /// One entry per *live* job (job_finished erases — the service routes an
@@ -153,12 +145,10 @@ class SharingController {
 
   void detach_from_round_locked(JobId job) REQUIRES(mutex_);
 
-  /// The sharing trace seam: every protocol transition goes through here.
-  /// Sinks: stderr printf when GRAPHM_TRACE_SHARING is set (the original
-  /// lockstep-debugging stream, preserved verbatim) and an obs instant on
-  /// this controller's "sharing #N" track when the global tracer is on.
-  void trace_event(const char* name, JobId job, std::uint64_t detail,
-                   const char* fmt, ...) REQUIRES(mutex_);
+  /// The sharing trace seam: every protocol transition goes through here
+  /// and becomes an obs instant on this controller's "sharing #N" track when
+  /// the global tracer is on.
+  void trace_event(const char* name, JobId job, std::uint64_t detail) REQUIRES(mutex_);
 
   const std::uint32_t group_id_;  // distinguishes controllers' trace tracks
   std::uint32_t trace_track_ GUARDED_BY(mutex_) = 0xFFFFFFFFu;  // lazily interned

@@ -41,11 +41,8 @@ class PartitionLoader {
   virtual void begin_chunk(std::uint32_t job_id, std::uint32_t pid, std::uint32_t chunk_id) {
     (void)job_id; (void)pid; (void)chunk_id;
   }
-  virtual void end_chunk(std::uint32_t job_id, std::uint32_t pid, std::uint32_t chunk_id,
-                         std::uint64_t active_edges, std::uint64_t total_edges,
-                         std::uint64_t elapsed_ns) {
+  virtual void end_chunk(std::uint32_t job_id, std::uint32_t pid, std::uint32_t chunk_id) {
     (void)job_id; (void)pid; (void)chunk_id;
-    (void)active_edges; (void)total_edges; (void)elapsed_ns;
   }
 
   /// Called when the job finishes entirely (all iterations done).

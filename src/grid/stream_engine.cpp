@@ -369,8 +369,7 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
         // relaxation work for active edges.
         instructions += span.edge_count + 2 * active_edges;
 
-        loader.end_chunk(job_id, view->pid, span.chunk_id, active_edges, span.edge_count,
-                         elapsed);
+        loader.end_chunk(job_id, view->pid, span.chunk_id);
       }
       platform_.add_instructions(job_id, instructions);
       loader.release(job_id, view->pid);

@@ -1,4 +1,5 @@
-// Wall-clock timers used for profiling T(F_j) / T(E) and for bench harnesses.
+// Wall-clock timers for the measured (not modeled) durations the engine,
+// stores, service and benches report.
 #pragma once
 
 #include <chrono>

@@ -122,25 +122,5 @@ TEST(Integration, EveryDatasetStandInRunsEndToEnd) {
   }
 }
 
-TEST(Integration, SyncManagerProfilesRealJobs) {
-  // After a mixed run the sync manager must have profiled T(F_j) for jobs
-  // that processed at least two partitions, and T(E) must be positive once a
-  // frontier job streamed inactive chunks.
-  const auto g = test::small_rmat(600, 8000, 11);
-  const grid::GridStore store = test::make_grid(g, 8);
-  sim::Platform platform;
-  core::GraphM graphm(store, platform);
-  graphm.init();
-  const grid::StreamEngine engine(store, platform);
-
-  algos::PageRank pr(0.85, 4);
-  auto loader = graphm.make_loader(0);
-  engine.run_job(0, pr, *loader);
-
-  EXPECT_TRUE(graphm.sync().profiled(0));
-  EXPECT_GT(graphm.sync().t_f(0), 0.0);
-  EXPECT_FALSE(graphm.sync().observations(0).empty());
-}
-
 }  // namespace
 }  // namespace graphm

@@ -129,7 +129,7 @@ TEST(MidStreamAttach, LateAttacherStreamsOutsideTheChunkBarrier) {
   // as a barrier member this single-threaded walk could not complete.
   for (const auto& span : view_b->chunks) {
     b->begin_chunk(1, view_b->pid, span.chunk_id);
-    b->end_chunk(1, view_b->pid, span.chunk_id, 0, span.edge_count, 1);
+    b->end_chunk(1, view_b->pid, span.chunk_id);
   }
   b->release(1, view_b->pid);
   b->job_finished(1);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <thread>
 
 #include "graphm/graphm.hpp"
@@ -7,6 +9,7 @@
 #include "algos/factory.hpp"
 #include "algos/pagerank.hpp"
 #include "algos/bfs.hpp"
+#include "obs/trace.hpp"
 #include "test_helpers.hpp"
 
 namespace graphm::core {
@@ -55,7 +58,7 @@ TEST(SharingController, SingleJobDrainsItsNeeds) {
     // Walk the chunk barrier protocol exactly as the engine does.
     for (const auto& span : view->chunks) {
       loader->begin_chunk(0, view->pid, span.chunk_id);
-      loader->end_chunk(0, view->pid, span.chunk_id, 0, span.edge_count, 10);
+      loader->end_chunk(0, view->pid, span.chunk_id);
     }
     loader->release(0, view->pid);
   }
@@ -107,6 +110,49 @@ TEST(SharingController, TwoJobsShareOneLoad) {
   // ...and attached by the second job.
   EXPECT_EQ(stats.attaches, 12u);
   EXPECT_GT(stats.chunk_barriers, 0u);
+}
+
+TEST(SharingController, TraceTrackEmitsOnlyDocumentedEvents) {
+  // Every controller transition lands as an instant on a "sharing #N" track;
+  // the names are the list docs/observability.md documents.
+  obs::Tracer& tracer = obs::Tracer::global();
+  struct Restore {
+    obs::Tracer& tracer;
+    bool was_enabled;
+    ~Restore() {
+      tracer.clear();
+      tracer.set_enabled(was_enabled);
+    }
+  } restore{tracer, tracer.enabled()};
+  tracer.set_enabled(true);
+  tracer.clear();
+
+  Fixture f;
+  const grid::StreamEngine engine(f.store, f.platform);
+  algos::PageRank pr0(0.85, 2);
+  algos::PageRank pr1(0.5, 2);
+  auto l0 = f.graphm.make_loader(0);
+  auto l1 = f.graphm.make_loader(1);
+  std::thread t0([&] { engine.run_job(0, pr0, *l0); });
+  std::thread t1([&] { engine.run_job(1, pr1, *l1); });
+  t0.join();
+  t1.join();
+
+  const std::set<std::string> documented = {
+      "reg_iter", "advance", "load",     "acquire",          "mid_attach",
+      "suspend",  "release", "end_chunk", "begin_chunk_wait", "job_finished"};
+  const std::vector<std::string> tracks = tracer.track_names();
+  std::set<std::string> seen;
+  for (const obs::TraceEvent& event : tracer.snapshot()) {
+    ASSERT_LT(event.track, tracks.size());
+    if (event.phase != 'i' || tracks[event.track].rfind("sharing #", 0) != 0) continue;
+    EXPECT_EQ(documented.count(event.name), 1u) << "undocumented sharing event " << event.name;
+    seen.insert(event.name);
+  }
+  EXPECT_EQ(tracer.dropped(), 0u);
+  for (const char* name : {"load", "acquire", "release"}) {
+    EXPECT_EQ(seen.count(name), 1u) << name << " missing from the sharing track";
+  }
 }
 
 TEST(SharingController, SharedBufferHitsSameSimulatedLines) {

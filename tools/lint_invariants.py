@@ -24,6 +24,11 @@ seed-derivation   in src/cluster/ and src/dist/, util::derive_stream_seed is
                   SplitMix64 seeded any other way, or ad-hoc seed arithmetic
                   (seed ^ x, seed + x, ...), silently decorrelates streams
                   (docs/cluster.md, determinism contract).
+getenv            environment reads in src/ are confined to an allow-list
+                  (graph/datasets.cpp: GRAPHM_CACHE_DIR, GRAPHM_SCALE;
+                  obs/trace.cpp: GRAPHM_TRACE). Behaviour switches belong in
+                  config structs the caller sets, not in hidden environment
+                  variables.
 
 Exit status: 0 when clean, 1 when any rule fires. Output is one
 `path:line: [rule] message` per violation — clickable in editors and CI logs.
@@ -61,6 +66,9 @@ METRIC_NAME_OK = re.compile(r"graphm\.[a-z0-9_.]+\Z")
 
 SEED_ARITHMETIC = re.compile(r"\b(?:root_)?seed\b\s*[\^+*%]|[\^+*%]\s*\b(?:root_)?seed\b")
 SPLITMIX_CTOR = re.compile(r"\bSplitMix64\b(?:\s+\w+)?\s*[({]")
+
+GETENV_CALL = re.compile(r"(?<![\w])getenv\s*\(")
+GETENV_ALLOWED = {"src/graph/datasets.cpp", "src/obs/trace.cpp"}
 
 ENUMERATOR = re.compile(r"^\s*(k[A-Za-z0-9]+)\s*=\s*\d+\s*,", re.MULTILINE)
 CASE_LABEL = re.compile(r"case\s+TraceCode::(k[A-Za-z0-9]+)\s*:")
@@ -210,12 +218,28 @@ def check_seed_derivation(root: pathlib.Path) -> List[Violation]:
     return violations
 
 
+def check_getenv(root: pathlib.Path) -> List[Violation]:
+    violations: List[Violation] = []
+    for path in cxx_files(root, ["src"]):
+        rel = path.relative_to(root)
+        if rel.as_posix() in GETENV_ALLOWED:
+            continue
+        code = strip_comments_and_strings(path.read_text())
+        for m in GETENV_CALL.finditer(code):
+            violations.append(Violation(
+                rel, line_of(code, m.start()), "getenv",
+                "environment read outside the allow-list — add a config field "
+                "instead of an environment switch"))
+    return violations
+
+
 CHECKS: List[Callable[[pathlib.Path], List[Violation]]] = [
     check_wall_clock,
     check_rng,
     check_trace_codes,
     check_metric_names,
     check_seed_derivation,
+    check_getenv,
 ]
 
 

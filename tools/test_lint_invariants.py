@@ -161,6 +161,32 @@ class LintRuleTests(unittest.TestCase):
         """)
         self.assertEqual(lint.check_seed_derivation(self.tree.root), [])
 
+    # -- getenv ---------------------------------------------------------------
+
+    def test_getenv_fires_outside_allow_list(self) -> None:
+        self.tree.write("src/graphm/bad.cpp", """
+            #include <cstdlib>
+            static const bool on = std::getenv("GRAPHM_TRACE_SHARING") != nullptr;
+            const char* dir = ::getenv("HOME");
+        """)
+        violations = lint.check_getenv(self.tree.root)
+        self.assertEqual(self.rules_fired(violations), {"getenv"})
+        self.assertEqual(len(violations), 2)
+
+    def test_getenv_allows_listed_files_and_ignores_comments(self) -> None:
+        self.tree.write("src/graph/datasets.cpp", """
+            const char* env = std::getenv("GRAPHM_SCALE");
+        """)
+        self.tree.write("src/obs/trace.cpp", """
+            const char* trace_env_path() { return std::getenv("GRAPHM_TRACE"); }
+        """)
+        self.tree.write("src/obs/trace.hpp", """
+            /// The check is one getenv per call.
+            const char* name = "getenv(";
+            const char* v = my_getenv("X");
+        """)
+        self.assertEqual(lint.check_getenv(self.tree.root), [])
+
     # -- the real tree --------------------------------------------------------
 
     def test_real_tree_is_clean(self) -> None:
