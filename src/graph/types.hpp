@@ -32,8 +32,8 @@ static_assert(sizeof(Edge) == 12, "Edge must stay 12 bytes (grid file format)");
 /// so a frontier jump (AtomicBitmap::next_set_in_range + binary search over
 /// ascending-src runs) lands directly on the right edge range without
 /// re-walking the skipped runs' counts. Valid for any edge order (begin is
-/// always the stream position); src-grouped streams make runs long and, when
-/// fully sorted, enable the jump path.
+/// always the stream position); src-grouped streams make runs long, and the
+/// jump path works inside each ascending segment (sorted_run_segments).
 struct SourceRun {
   VertexId src = 0;
   std::uint32_t begin = 0;  // first edge of the run within the indexed span
@@ -60,23 +60,13 @@ inline void append_source_run(RunVector& runs, VertexId src) {
   }
 }
 
-/// True iff `runs` is strictly ascending by source — the precondition for the
-/// engines' binary-search frontier jump. One pass at index-build time.
-template <typename RunVector>
-[[nodiscard]] inline bool source_runs_sorted(const RunVector& runs) {
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    if (runs[i].src <= runs[i - 1].src) return false;
-  }
-  return true;
-}
-
 /// Boundaries of the maximal strictly-ascending-src segments of `runs`: the
 /// result b has b.front() == 0, b.back() == runs.size(), and every
 /// [b[i], b[i+1]) ascends strictly by source. A fully sorted index yields one
 /// segment. Multi-block spans — a concatenation of per-block src-sorted
 /// streams, where the source range restarts at every block — yield one
-/// segment per block, which is what lets the engines' binary-search frontier
-/// jump work segment-locally where a global jump is impossible.
+/// segment per block. Every run index is stored with these boundaries, and
+/// the engine's binary-search frontier jump works inside one segment.
 template <typename RunVector>
 [[nodiscard]] inline std::vector<std::uint32_t> sorted_run_segments(const RunVector& runs) {
   std::vector<std::uint32_t> bounds;

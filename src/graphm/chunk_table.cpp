@@ -114,8 +114,7 @@ ChunkInfo label_chunk_with(SourceIndex& index, const graph::Edge* edges,
     // The run index rides along at no extra passes.
     graph::append_source_run(info.runs, src);
   }
-  info.runs_sorted = graph::source_runs_sorted(info.runs);
-  if (!info.runs_sorted) info.run_segments = graph::sorted_run_segments(info.runs);
+  info.run_segments = graph::sorted_run_segments(info.runs);
   return info;
 }
 

@@ -44,14 +44,8 @@ struct ChunkInfo {
   /// never read. Re-labelled alongside entries when a snapshot replaces the
   /// chunk's content.
   std::vector<graph::SourceRun> runs;
-  /// True iff `runs` ascends strictly by source (src-sorted chunk content),
-  /// which lets sparse frontiers binary-search the run index instead of
-  /// scanning it. Computed once at labelling time.
-  bool runs_sorted = false;
-  /// When the chunk spans several src-sorted grid blocks (so `runs` as a
-  /// whole is unsorted), the maximal ascending segments of the run index
-  /// (graph::sorted_run_segments boundaries) — the engine binary-searches
-  /// within each. Empty for sorted chunks, where the global jump applies.
+  /// graph::sorted_run_segments(runs): one ascending segment per src-sorted
+  /// grid block the chunk covers; the engine binary-searches within each.
   std::vector<std::uint32_t> run_segments;
 
   [[nodiscard]] graph::EdgeCount total_edges() const { return edge_end - edge_begin; }

@@ -9,9 +9,8 @@ namespace graphm::core {
 namespace {
 
 /// The Sharing() adapter: implements the engine's PartitionLoader seam on top
-/// of the sharing controller. The Start()/Barrier() notifications of Table 1
-/// correspond to begin_chunk/end_chunk around the streaming of each shared
-/// chunk.
+/// of the sharing controller. Table 1's Barrier() and Start() are one call:
+/// end_chunk after each shared chunk.
 class SharedLoader final : public grid::PartitionLoader {
  public:
   SharedLoader(SharingController& controller, std::uint32_t job_id)
@@ -30,10 +29,6 @@ class SharedLoader final : public grid::PartitionLoader {
 
   void release(std::uint32_t job_id, std::uint32_t pid) override {
     controller_.release(job_id, pid);
-  }
-
-  void begin_chunk(std::uint32_t job_id, std::uint32_t pid, std::uint32_t chunk_id) override {
-    controller_.begin_chunk(job_id, pid, chunk_id);
   }
 
   void end_chunk(std::uint32_t job_id, std::uint32_t pid, std::uint32_t chunk_id) override {

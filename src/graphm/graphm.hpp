@@ -4,7 +4,7 @@
 //   graphm.init();                                  // Init(): label chunks
 //   auto loader = graphm.make_loader();             // Sharing() plug-in
 //   engine.run_job(job_id, algorithm, *loader);     // GetActiveVertices /
-//                                                   // Start / Barrier happen
+//                                                   // Barrier+Start (one call)
 //                                                   // inside the loader seam
 //
 // The engine code is unchanged between the -S/-C and -M schemes except for

@@ -45,12 +45,11 @@ void SharingController::detach_from_round_locked(JobId job) {
   const bool was_assigned = current_unacquired_.erase(job) != 0;
   const bool was_unreleased = current_unreleased_.erase(job) != 0;
   if (barrier_members_.erase(job) != 0) {
-    if (barrier_participants_ > 0) --barrier_participants_;
-    if (barrier_participants_ <= 1) {
+    if (barrier_members_.size() <= 1) {
       // The survivors have nobody left to step in lock-step with.
       solo_round_.store(true, std::memory_order_release);
     }
-    if (barrier_participants_ > 0 && barrier_arrived_ >= barrier_participants_) {
+    if (!barrier_members_.empty() && barrier_arrived_ >= barrier_members_.size()) {
       // Everyone still in the round had already arrived: the departing job
       // was the one the barrier was waiting for. Complete it.
       barrier_arrived_ = 0;
@@ -136,13 +135,12 @@ void SharingController::advance_locked() {
   }
   buffer_loaded_ = false;
   buffer_loading_ = false;
-  barrier_participants_ = current_unreleased_.size();
   barrier_arrived_ = 0;
   barrier_chunk_ = 0;
-  // Published for the lock-free begin/end_chunk fast path. Stable while any
+  // Published for the lock-free end_chunk fast path. Stable while any
   // participant is streaming: the round cannot advance until every
   // participant has released.
-  solo_round_.store(barrier_participants_ <= 1, std::memory_order_release);
+  solo_round_.store(barrier_members_.size() <= 1, std::memory_order_release);
 }
 
 std::optional<grid::PartitionView> SharingController::acquire_next(JobId job) {
@@ -173,7 +171,7 @@ std::optional<grid::PartitionView> SharingController::acquire_next(JobId job) {
       // again). Its member pass is over — a member can only release after
       // the round's final chunk barrier completed, so no member is waiting
       // on it — and its re-run must not arrive at the barrier again: strike
-      // it from the roster so begin/end_chunk see a non-member.
+      // it from the roster so end_chunk sees a non-member.
       const auto pid = static_cast<PartitionId>(current_pid_);
       barrier_members_.erase(job);
       current_unreleased_.insert(job);
@@ -246,36 +244,18 @@ void SharingController::release(JobId job, PartitionId pid) {
   barrier_cv_.notify_all();
 }
 
-void SharingController::begin_chunk(JobId job, PartitionId pid, std::uint32_t chunk_id) {
-  if (!options_.fine_grained_sync) return;
+void SharingController::end_chunk(JobId job, PartitionId pid, std::uint32_t chunk_id) {
   // Solo fast path: a round with one participant has nobody to step in
   // lock-step with — skip the mutex entirely so the single job streams its
-  // chunks back to back at full block-batched speed.
-  if (solo_round_.load(std::memory_order_acquire)) return;
-  MutexLock lock(mutex_);
-  // Late mid-round attachers are not barrier members: they free-run over the
-  // resident buffer instead of pacing (or corrupting) the lock-step group.
-  if (barrier_members_.count(job) == 0) return;
-  trace_event("begin_chunk_wait", job, chunk_id);
-  while (static_cast<std::int64_t>(pid) == current_pid_ && barrier_chunk_ < chunk_id) {
-    lock.wait(barrier_cv_);
-  }
-}
-
-void SharingController::end_chunk(JobId job, PartitionId pid, std::uint32_t chunk_id) {
-  if (!options_.fine_grained_sync) return;
-  // Solo rounds complete no barrier (and charge no modeled barrier wakeups).
+  // chunks back to back (and charges no modeled barrier wakeups).
   if (solo_round_.load(std::memory_order_acquire)) return;
   MutexLock lock(mutex_);
   if (static_cast<std::int64_t>(pid) != current_pid_) return;
-  if (barrier_members_.count(job) == 0) return;  // late attacher: no barrier
-  if (barrier_participants_ <= 1) {
-    barrier_chunk_ = chunk_id + 1;
-    ++stats_.chunk_barriers;
-    return;
-  }
+  // Late mid-round attachers are not barrier members: they free-run over the
+  // resident buffer instead of pacing (or corrupting) the lock-step group.
+  if (barrier_members_.count(job) == 0) return;
   trace_event("end_chunk", job, chunk_id);
-  if (++barrier_arrived_ == barrier_participants_) {
+  if (++barrier_arrived_ == barrier_members_.size()) {
     barrier_arrived_ = 0;
     barrier_chunk_ = chunk_id + 1;
     ++stats_.chunk_barriers;
@@ -330,35 +310,15 @@ grid::PartitionView SharingController::build_view_locked(JobId job, PartitionId 
       // replaced content.
       span.runs = (*overlay)->info.runs.data();
       span.num_runs = static_cast<std::uint32_t>((*overlay)->info.runs.size());
-      span.runs_sorted = (*overlay)->info.runs_sorted;
-      if (!(*overlay)->info.run_segments.empty()) {
-        span.run_segments = (*overlay)->info.run_segments.data();
-        span.num_run_segments =
-            static_cast<std::uint32_t>((*overlay)->info.run_segments.size() - 1);
-      }
+      span.run_segments = (*overlay)->info.run_segments.data();
     } else {
       span.edges = shared_buffer_.data() + info.edge_begin;
       span.edge_count = info.total_edges();
       span.stream_offset = info.edge_begin;
       span.runs = info.runs.data();
       span.num_runs = static_cast<std::uint32_t>(info.runs.size());
-      span.runs_sorted = info.runs_sorted;
-      if (!info.run_segments.empty()) {
-        span.run_segments = info.run_segments.data();
-        span.num_run_segments =
-            static_cast<std::uint32_t>(info.run_segments.size() - 1);
-      }
+      span.run_segments = info.run_segments.data();
     }
-    span.llc_base = reinterpret_cast<std::uint64_t>(span.edges);
-    view.chunks.push_back(span);
-  }
-  if (table.chunks.empty() && !shared_buffer_.empty()) {
-    // Partition without a chunk table (shouldn't happen after Init, but keep
-    // the engine safe): expose it as a single chunk.
-    grid::ChunkSpan span;
-    span.edges = shared_buffer_.data();
-    span.edge_count = shared_buffer_.size();
-    span.stream_offset = 0;
     span.llc_base = reinterpret_cast<std::uint64_t>(span.edges);
     view.chunks.push_back(span);
   }

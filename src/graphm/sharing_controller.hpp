@@ -11,8 +11,9 @@
 //    do not need the current partition are suspended on a condition variable
 //    and resumed when one of theirs becomes current;
 //  * while a partition is shared, its participant jobs step through the
-//    labelled chunks in lock-step (a generation barrier per chunk), so each
-//    chunk is pulled into the simulated LLC once and reused by every job;
+//    labelled chunks in lock-step (a generation barrier per chunk, in
+//    end_chunk: Barrier() and Start() in one call), so each chunk is pulled
+//    into the simulated LLC once and reused by every job;
 //  * snapshots: *mutations* are chunk-grained copies private to one job;
 //    *updates* are chunk-grained versions visible only to jobs submitted
 //    later — earlier jobs keep resolving to the older version.
@@ -38,7 +39,6 @@ namespace graphm::core {
 
 struct GraphMOptions {
   bool use_scheduling = true;      // Section 4 strategy (Figure 18 ablation)
-  bool fine_grained_sync = true;   // chunk barrier (ablation)
   std::size_t chunk_bytes_override = 0;  // 0 = Formula 1
   /// Open-loop service mode (Algorithm 2 taken to its limit): a job whose
   /// needs include the partition already resident in the shared buffer may
@@ -80,7 +80,6 @@ class SharingController {
   void register_iteration(JobId job, const std::vector<PartitionId>& partitions);
   std::optional<grid::PartitionView> acquire_next(JobId job);
   void release(JobId job, PartitionId pid);
-  void begin_chunk(JobId job, PartitionId pid, std::uint32_t chunk_id);
   void end_chunk(JobId job, PartitionId pid, std::uint32_t chunk_id);
 
   // --- snapshots (Section 3.3.2) -------------------------------------------
@@ -166,13 +165,12 @@ class SharingController {
   bool buffer_loading_ GUARDED_BY(mutex_) = false;
   sim::TrackedAllocation buffer_tracking_ GUARDED_BY(mutex_);
 
-  // Chunk barrier.
-  std::size_t barrier_participants_ GUARDED_BY(mutex_) = 0;
+  // Chunk barrier over barrier_members_.
   std::size_t barrier_arrived_ GUARDED_BY(mutex_) = 0;
   std::uint32_t barrier_chunk_ GUARDED_BY(mutex_) = 0;
-  /// True while the current round has at most one participant; read without
-  /// the mutex by begin/end_chunk (it only changes between rounds, and a
-  /// round cannot advance while one of its participants is streaming).
+  /// True while the current round has at most one barrier member; read
+  /// without the mutex by end_chunk (a round cannot advance while one of its
+  /// participants is streaming, and a detach only sets it).
   std::atomic<bool> solo_round_{true};
 
   // Snapshots: mutations keyed by (job, pid, chunk); updates keyed by

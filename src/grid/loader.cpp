@@ -27,7 +27,7 @@ std::optional<PartitionView> DefaultLoader::acquire_next(std::uint32_t job_id) {
   const std::uint32_t pid = pending_.back();
   pending_.pop_back();
 
-  io_stall_ns_ += store_.read_partition(pid, buffer_, platform_, job_id);
+  store_.read_partition(pid, buffer_, platform_, job_id);
 
   PartitionView view;
   view.pid = pid;

@@ -36,11 +36,9 @@ class PartitionLoader {
   /// Marks the job done with the partition it last acquired.
   virtual void release(std::uint32_t job_id, std::uint32_t pid) = 0;
 
-  /// Chunk-boundary notifications (the paper's Start()/Barrier() pair wraps
-  /// the streaming of a shared partition; chunk granularity lives here).
-  virtual void begin_chunk(std::uint32_t job_id, std::uint32_t pid, std::uint32_t chunk_id) {
-    (void)job_id; (void)pid; (void)chunk_id;
-  }
+  /// Called after each streamed chunk; returning permits the next one (the
+  /// paper's Barrier() and Start() in one call: GraphM holds a round member
+  /// here until every member has finished the chunk).
   virtual void end_chunk(std::uint32_t job_id, std::uint32_t pid, std::uint32_t chunk_id) {
     (void)job_id; (void)pid; (void)chunk_id;
   }
@@ -61,16 +59,12 @@ class DefaultLoader final : public PartitionLoader {
   std::optional<PartitionView> acquire_next(std::uint32_t job_id) override;
   void release(std::uint32_t job_id, std::uint32_t pid) override;
 
-  /// Modeled I/O stall accumulated by this loader (nanoseconds).
-  [[nodiscard]] std::uint64_t io_stall_ns() const { return io_stall_ns_; }
-
  private:
   const storage::PartitionedStore& store_;
   sim::Platform& platform_;
   std::vector<std::uint32_t> pending_;  // reversed: back() is next
   std::vector<Edge> buffer_;
   sim::TrackedAllocation buffer_tracking_;
-  std::uint64_t io_stall_ns_ = 0;
 };
 
 }  // namespace graphm::grid

@@ -2,7 +2,7 @@
 // chunk spans. Under the default loader the whole partition is one span;
 // under GraphM each span is one labelled chunk (possibly redirected to a
 // copy-on-write snapshot chunk), which is what makes chunk-grained
-// synchronization and snapshot isolation possible without the engine caring.
+// synchronization (one end_chunk per span) and snapshot isolation possible.
 #pragma once
 
 #include <cstdint>
@@ -38,20 +38,10 @@ struct ChunkSpan {
   /// nullptr falls back to the plain gated block scan.
   const graph::SourceRun* runs = nullptr;
   std::uint32_t num_runs = 0;
-  /// True iff `runs` ascends strictly by source. Sparse frontiers then jump
-  /// straight to the next active source (AtomicBitmap::next_set_in_range +
-  /// binary search) instead of walking every run; unsorted indexes fall back
-  /// to the linear word-test walk.
-  bool runs_sorted = false;
-  /// Optional ascending-segment boundaries over `runs` for indexes that are a
-  /// concatenation of sorted pieces (multi-block partition spans, multi-block
-  /// GraphM chunks): segment s covers runs [run_segments[s],
-  /// run_segments[s+1]) and ascends strictly by source, so the binary-search
-  /// frontier jump applies segment-locally even when `runs_sorted` is false.
-  /// `run_segments` holds num_run_segments + 1 boundaries; nullptr keeps the
-  /// linear word-test walk.
+  /// Required with `runs`: its graph::sorted_run_segments boundaries, from 0
+  /// to num_runs (one segment per src-sorted grid block the span covers).
+  /// Sparse frontiers binary-search to the next active source in a segment.
   const std::uint32_t* run_segments = nullptr;
-  std::uint32_t num_run_segments = 0;
 };
 
 struct PartitionView {
@@ -59,12 +49,6 @@ struct PartitionView {
   std::vector<ChunkSpan> chunks;
   graph::VertexId vertex_begin = 0;  // partition's source-vertex range
   graph::VertexId vertex_end = 0;
-
-  [[nodiscard]] graph::EdgeCount total_edges() const {
-    graph::EdgeCount total = 0;
-    for (const auto& c : chunks) total += c.edge_count;
-    return total;
-  }
 };
 
 }  // namespace graphm::grid

@@ -55,8 +55,7 @@ const StreamEngine::RunIndex& StreamEngine::partition_runs(std::uint32_t pid,
       graph::append_source_run(index.runs, span.edges[i].src);
     }
     index.runs.shrink_to_fit();
-    index.sorted = graph::source_runs_sorted(index.runs);
-    if (!index.sorted) index.segments = graph::sorted_run_segments(index.runs);
+    index.segments = graph::sorted_run_segments(index.runs);
     MutexLock lock(run_cache_mutex_);
     run_cache_bytes_ += index.runs.size() * sizeof(graph::SourceRun) +
                         index.segments.size() * sizeof(std::uint32_t);
@@ -180,22 +179,18 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
   // scan would relax; the per-edge gating inside process_edge_block does the
   // rest, so results stay bit-identical.
   //
-  // Word-granular jumping: on a sorted index (strictly ascending srcs), an
-  // inactive run doesn't start a linear scan — the frontier bitmap names the
-  // next active source directly (next_set_in_range skips 64 clear bits per
-  // word load) and a binary search lands on the first run at or past it, so
-  // a genuinely sparse frontier touches O(active log runs) index entries
-  // instead of all of them. Unsorted indexes that are concatenations of
-  // sorted pieces (multi-block partition spans, multi-block GraphM chunks)
-  // carry the ascending-segment boundaries instead and jump segment-locally;
-  // only arbitrary-order indexes keep the linear word-test walk.
+  // Word-granular jumping: an inactive run doesn't start a linear scan — the
+  // frontier bitmap names the next active source directly (next_set_in_range
+  // skips 64 clear bits per word load) and a binary search inside the run's
+  // ascending segment lands on the first run at or past it, so a genuinely
+  // sparse frontier touches O(active log runs) index entries.
   constexpr graph::EdgeCount kMinSkipEdges = 24;
   std::uint64_t processed = 0;
   util::WordCache words(active);
   graph::EdgeCount segment_begin = 0;
   graph::EdgeCount segment_end = 0;  // segment = [segment_begin, segment_end)
   bool have_segment = false;
-  std::uint32_t seg = 0;  // current entry of span.run_segments, when present
+  std::uint32_t seg = 0;  // current entry of span.run_segments
   std::uint32_t r = 0;
   while (r < span.num_runs) {
     const graph::SourceRun run = span.runs[r];
@@ -214,25 +209,12 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
       ++r;
       continue;
     }
-    // Inactive run: jump over the sorted horizon this position sits in — the
-    // whole index when globally sorted, the enclosing ascending segment on
-    // multi-block spans, or nothing (linear walk) without either.
-    std::uint32_t jump_end;
-    if (span.runs_sorted) {
-      jump_end = span.num_runs;
-    } else if (span.run_segments != nullptr && span.num_run_segments != 0) {
-      while (span.run_segments[seg + 1] <= r) ++seg;
-      jump_end = span.run_segments[seg + 1];
-    } else {
-      ++r;
-      continue;
-    }
+    // Inactive run: jump inside the ascending segment it sits in.
+    while (span.run_segments[seg + 1] <= r) ++seg;
+    const std::uint32_t jump_end = span.run_segments[seg + 1];
     const std::size_t next_src = active.next_set_in_range(run.src + 1, active.size());
     if (next_src >= active.size()) {
-      // Nothing active at or above run.src: the rest of this ascending
-      // horizon is all inactive. Later segments restart at lower sources, so
-      // only a fully sorted index can stop outright.
-      if (span.runs_sorted) break;
+      // The rest of this segment is inactive; later ones restart lower.
       r = jump_end;
       continue;
     }
@@ -311,13 +293,8 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
           const RunIndex& index = partition_runs(view->pid, span);
           span.runs = index.runs.data();
           span.num_runs = static_cast<std::uint32_t>(index.runs.size());
-          span.runs_sorted = index.sorted;
-          if (!index.segments.empty()) {
-            span.run_segments = index.segments.data();
-            span.num_run_segments = static_cast<std::uint32_t>(index.segments.size() - 1);
-          }
+          span.run_segments = index.segments.data();
         }
-        loader.begin_chunk(job_id, view->pid, span.chunk_id);
 
         util::Timer chunk_timer;
         const std::uint64_t active_edges =
@@ -349,8 +326,7 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
           constexpr std::size_t kHotSetBytes = 1024;
           platform_.llc().access_range(sim::Platform::job_scratch_base(job_id),
                                        kHotSetBytes, job_id);
-          if (config_.model_vertex_data && values_bytes != 0 && c == 0 &&
-              store_.meta().num_vertices != 0) {
+          if (values_bytes != 0 && c == 0 && store_.meta().num_vertices != 0) {
             // Job-specific data: under the grid's 2-level layout a partition
             // touches its own source-value slice plus similarly-sized
             // destination windows, so charge the job's value slice for the

@@ -27,7 +27,6 @@
 // order, and every stats read waits for it; see docs/streaming.md.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -44,8 +43,7 @@
 namespace graphm::grid {
 
 struct StreamConfig {
-  bool model_llc = true;          // feed buffer addresses through the LLC sim
-  bool model_vertex_data = true;  // also model job-specific value accesses
+  bool model_llc = true;  // feed buffers, hot metadata and values through the LLC sim
   /// false = legacy per-edge loop (one virtual call + one atomic bit test per
   /// edge). Kept as the measurable scalar baseline and as the oracle path for
   /// the block equivalence tests.
@@ -78,14 +76,11 @@ struct JobRunStats {
 /// cancelled job detaches from its sharing group via the loader's
 /// job_finished seam; its algorithm state is left mid-flight.
 struct JobControl {
-  std::atomic<bool> cancel{false};
-  /// Optional predicate polled alongside `cancel` (e.g. a deadline check
-  /// against the service clock). Must be thread-safe and cheap.
+  /// Optional predicate (e.g. a deadline check against the service clock).
+  /// Must be thread-safe and cheap.
   std::function<bool()> should_cancel;
 
-  [[nodiscard]] bool cancel_requested() const {
-    return cancel.load(std::memory_order_relaxed) || (should_cancel && should_cancel());
-  }
+  [[nodiscard]] bool cancel_requested() const { return should_cancel && should_cancel(); }
 };
 
 class StreamEngine {
@@ -130,11 +125,7 @@ class StreamEngine {
 
   struct RunIndex {
     std::vector<graph::SourceRun> runs;
-    bool sorted = false;  // strictly ascending srcs => binary-search jumps
-    /// For unsorted indexes (a partition is a row of src-sorted blocks, so
-    /// its concatenated runs restart at every block): the ascending-segment
-    /// boundaries (graph::sorted_run_segments), enabling segment-local jumps.
-    std::vector<std::uint32_t> segments;
+    std::vector<std::uint32_t> segments;  // graph::sorted_run_segments(runs)
   };
 
   /// The shared per-partition source-run index for loaders that hand out

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 
@@ -92,6 +93,25 @@ TEST_P(LabelPartitionTest, Algorithm1Invariants) {
     }
     EXPECT_EQ(sum, chunk.total_edges());
     EXPECT_EQ(recount.size(), chunk.entries.size());
+
+    // Invariant 4: the run index is split into strictly ascending segments,
+    // with boundaries from 0 to runs.size().
+    const std::vector<std::uint32_t>& bounds = chunk.run_segments;
+    ASSERT_GE(bounds.size(), 2u);
+    EXPECT_EQ(bounds.front(), 0u);
+    EXPECT_EQ(bounds.back(), chunk.runs.size());
+    for (std::uint32_t r = 1; r < chunk.runs.size(); ++r) {
+      if (std::binary_search(bounds.begin(), bounds.end(), r)) continue;
+      EXPECT_LT(chunk.runs[r - 1].src, chunk.runs[r].src);
+    }
+  }
+
+  // A src-sorted stream (one grid block) labels into one-segment chunks.
+  std::vector<graph::Edge> sorted = g.edges();
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const graph::Edge& a, const graph::Edge& b) { return a.src < b.src; });
+  for (const ChunkInfo& chunk : label_partition(sorted.data(), sorted.size(), chunk_bytes).chunks) {
+    EXPECT_EQ(chunk.run_segments.size(), 2u);
   }
 }
 

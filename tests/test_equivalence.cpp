@@ -47,7 +47,7 @@ struct Params {
   std::size_t num_jobs;
   std::uint32_t partitions;
   bool scheduling;
-  bool fine_sync;
+  bool use_blocks;  // false = the engine's legacy per-edge loop
   std::uint16_t zero_fill = 0;
 };
 static_assert(sizeof(Params) == 16, "Params must have no padding bytes");
@@ -63,7 +63,7 @@ TEST_P(SchemeEquivalence, AllSchemesAgree) {
   ExecutorConfig config;
   config.record_results = true;
   config.graphm.use_scheduling = p.scheduling;
-  config.graphm.fine_grained_sync = p.fine_sync;
+  config.stream.use_blocks = p.use_blocks;
 
   const auto s = run_jobs(Scheme::kSequential, store, jobs, config);
   const auto c = run_jobs(Scheme::kConcurrent, store, jobs, config);
@@ -197,7 +197,9 @@ struct EngineRun {
   std::uint64_t instructions = 0;
 };
 
-enum class Path { kLegacyScalar, kBlocks, kBlockFallback };
+/// kGraphM streams the block path through a GraphM loader whose partitions
+/// are 700-edge labelled chunks carrying their own run indexes.
+enum class Path { kLegacyScalar, kBlocks, kBlockFallback, kGraphM };
 
 EngineRun run_single(const grid::GridStore& store, const algos::JobSpec& spec, Path path,
                      std::size_t threads) {
@@ -215,9 +217,18 @@ EngineRun run_single(const grid::GridStore& store, const algos::JobSpec& spec, P
   if (path == Path::kBlockFallback) {
     algorithm = std::make_unique<ScalarFallback>(std::move(algorithm));
   }
-  grid::DefaultLoader loader(store, platform);
+  std::unique_ptr<core::GraphM> graphm;
+  std::unique_ptr<grid::PartitionLoader> loader;
+  if (path == Path::kGraphM) {
+    graphm = std::make_unique<core::GraphM>(
+        store, platform, core::GraphMOptions{.chunk_bytes_override = 700 * sizeof(graph::Edge)});
+    graphm->init();
+    loader = graphm->make_loader(0);
+  } else {
+    loader = std::make_unique<grid::DefaultLoader>(store, platform);
+  }
   EngineRun run;
-  run.stats = engine.run_job(0, *algorithm, loader);
+  run.stats = engine.run_job(0, *algorithm, *loader);
   run.result = algorithm->result();
   run.instructions = platform.instructions(0);
   return run;
@@ -295,11 +306,12 @@ TEST(BlockVsScalar, EngineAgreesWithEngineFreeStreamingOracle) {
 
 TEST(BlockVsScalar, SortedRunJumpMatchesScalarOnSparseFrontiers) {
   // Word-granular run skipping: on a single-partition grid the engine's
-  // partition run index is fully src-sorted, so sparse iterations take the
-  // next_set_in_range + binary-search jump path. BFS/SSSP frontiers go from
-  // one vertex through a wave to a sparse tail — every segmentation edge
+  // partition run index is one src-sorted segment, so sparse iterations take
+  // the next_set_in_range + binary-search jump path. BFS/SSSP frontiers go
+  // from one vertex through a wave to a sparse tail — every segmentation edge
   // case (jump over long inactive stretches, short-gap absorption, trailing
-  // segment) against the seed's per-edge scalar oracle.
+  // segment) against the seed's per-edge scalar oracle. The GraphM path jumps
+  // inside labelled chunks: one segment each at P=1, one per block crossed at P=4.
   const auto g = test::small_rmat(4096, 20000, 13);  // sparse: long inactive gaps
   for (const std::uint32_t partitions : {1u, 4u}) {
     const grid::GridStore store = test::make_grid(g, partitions);
@@ -308,13 +320,16 @@ TEST(BlockVsScalar, SortedRunJumpMatchesScalarOnSparseFrontiers) {
       spec.kind = kind;
       spec.root = 17;
       const EngineRun oracle = run_single(store, spec, Path::kLegacyScalar, 1);
-      const EngineRun run = run_single(store, spec, Path::kBlocks, 1);
-      ASSERT_EQ(oracle.result, run.result)
-          << algos::to_string(kind) << " P=" << partitions;
-      EXPECT_EQ(oracle.stats.edges_processed, run.stats.edges_processed)
-          << algos::to_string(kind) << " P=" << partitions;
-      EXPECT_EQ(oracle.stats.iterations, run.stats.iterations);
-      EXPECT_EQ(oracle.instructions, run.instructions);
+      for (const Path path : {Path::kBlocks, Path::kGraphM}) {
+        const EngineRun run = run_single(store, spec, path, 1);
+        const char* label = path == Path::kBlocks ? "partition spans" : "GraphM chunks";
+        ASSERT_EQ(oracle.result, run.result)
+            << algos::to_string(kind) << " P=" << partitions << " " << label;
+        EXPECT_EQ(oracle.stats.edges_processed, run.stats.edges_processed)
+            << algos::to_string(kind) << " P=" << partitions << " " << label;
+        EXPECT_EQ(oracle.stats.iterations, run.stats.iterations);
+        EXPECT_EQ(oracle.instructions, run.instructions);
+      }
     }
   }
 }

@@ -147,14 +147,12 @@ TEST(SourceRuns, SortedRunSegmentsBoundaries) {
     graph::append_source_run(runs, src);  // extend: runs, not edges
   }
   ASSERT_EQ(runs.size(), 8u);
-  EXPECT_FALSE(graph::source_runs_sorted(runs));
   const auto bounds = graph::sorted_run_segments(runs);
   EXPECT_EQ(bounds, (std::vector<std::uint32_t>{0, 3, 6, 8}));
 
   // Fully sorted: one segment covering everything.
   std::vector<graph::SourceRun> sorted_runs;
   for (const graph::VertexId src : {0u, 2u, 7u}) graph::append_source_run(sorted_runs, src);
-  EXPECT_TRUE(graph::source_runs_sorted(sorted_runs));
   EXPECT_EQ(graph::sorted_run_segments(sorted_runs),
             (std::vector<std::uint32_t>{0, 3}));
 }
@@ -176,7 +174,6 @@ TEST(StreamEngine, SegmentJumpsMatchScalarOracleOnMultiBlockPartitions) {
     store.read_partition(0, buffer, platform, 0);
     std::vector<graph::SourceRun> runs;
     for (const Edge& e : buffer) graph::append_source_run(runs, e.src);
-    ASSERT_FALSE(graph::source_runs_sorted(runs));
     ASSERT_GT(graph::sorted_run_segments(runs).size(), 2u);
   }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -127,10 +128,7 @@ TEST(MidStreamAttach, LateAttacherStreamsOutsideTheChunkBarrier) {
 
   // B free-runs through every chunk while A has not even begun streaming —
   // as a barrier member this single-threaded walk could not complete.
-  for (const auto& span : view_b->chunks) {
-    b->begin_chunk(1, view_b->pid, span.chunk_id);
-    b->end_chunk(1, view_b->pid, span.chunk_id);
-  }
+  for (const auto& span : view_b->chunks) b->end_chunk(1, view_b->pid, span.chunk_id);
   b->release(1, view_b->pid);
   b->job_finished(1);
   a->release(0, view_a->pid);
@@ -396,9 +394,48 @@ TEST(Admission, BackToBackSharedBatchesAllFinish) {
   for (const JobHandle& handle : handles) EXPECT_EQ(handle.state(), JobState::kDone);
 }
 
+/// Holds job 0's reads until open() or for at most 10 s, so a test can keep
+/// that job running for as long as it needs, whatever its speed.
+class GatedStore final : public storage::PartitionedStore {
+ public:
+  explicit GatedStore(const storage::PartitionedStore& inner) : inner_(inner) {}
+  void open() { open_ = true; }
+
+  const storage::StoreMeta& meta() const override { return inner_.meta(); }
+  std::uint32_t file_id() const override { return inner_.file_id(); }
+  std::vector<std::uint32_t> load_out_degrees() const override {
+    return inner_.load_out_degrees();
+  }
+  std::uint64_t read_partition(std::uint32_t i, std::vector<graph::Edge>& out,
+                               sim::Platform& platform, std::uint32_t job) const override {
+    hold(job);
+    return inner_.read_partition(i, out, platform, job);
+  }
+  std::uint64_t read_edges(std::uint32_t i, graph::EdgeCount first, graph::EdgeCount count,
+                           graph::Edge* out, sim::Platform& platform,
+                           std::uint32_t job) const override {
+    hold(job);
+    return inner_.read_edges(i, first, count, out, platform, job);
+  }
+
+ private:
+  void hold(std::uint32_t job) const {
+    while (job == 0 && !open_ && std::chrono::steady_clock::now() < deadline_) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+  const storage::PartitionedStore& inner_;
+  const std::chrono::steady_clock::time_point deadline_ =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> open_{false};
+};
+
 TEST(Admission, ReleasedBatchMemberDoesNotWaitForARunningJob) {
   const auto g = test::small_rmat(512, 8000);
-  const grid::GridStore store = test::make_grid(g, 2);
+  const grid::GridStore grid_store = test::make_grid(g, 2);
+  // `running` (job 0) reads through a gate that opens once `first` is done;
+  // a `first` that waited for `running` would wait out the gate's timeout.
+  GatedStore store(grid_store);
 
   ServiceConfig config;
   config.mode = ExecMode::kIsolated;
@@ -413,6 +450,8 @@ TEST(Admission, ReleasedBatchMemberDoesNotWaitForARunningJob) {
   // member starts at once instead of waiting for its co-member's worker.
   auto first = svc.submit(pagerank_spec(1));
   auto second = svc.submit(pagerank_spec(1));
+  first.await();
+  store.open();
   svc.drain();
 
   EXPECT_EQ(second.state(), JobState::kDone);

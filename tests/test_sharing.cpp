@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <string>
 #include <thread>
@@ -19,8 +20,10 @@ struct Fixture {
   graph::EdgeList g = test::small_rmat(512, 6000);
   grid::GridStore store = test::make_grid(g, 4);
   sim::Platform platform;
-  GraphM graphm{store, platform};
-  Fixture() { graphm.init(); }
+  GraphM graphm;
+  explicit Fixture(GraphMOptions options = {}) : graphm(store, platform, options) {
+    graphm.init();
+  }
 };
 
 TEST(GraphMInit, BuildsTablesForEveryPartition) {
@@ -56,10 +59,7 @@ TEST(SharingController, SingleJobDrainsItsNeeds) {
     seen.push_back(view->pid);
     EXPECT_GT(view->chunks.size(), 0u);
     // Walk the chunk barrier protocol exactly as the engine does.
-    for (const auto& span : view->chunks) {
-      loader->begin_chunk(0, view->pid, span.chunk_id);
-      loader->end_chunk(0, view->pid, span.chunk_id);
-    }
+    for (const auto& span : view->chunks) loader->end_chunk(0, view->pid, span.chunk_id);
     loader->release(0, view->pid);
   }
   std::sort(seen.begin(), seen.end());
@@ -139,8 +139,8 @@ TEST(SharingController, TraceTrackEmitsOnlyDocumentedEvents) {
   t1.join();
 
   const std::set<std::string> documented = {
-      "reg_iter", "advance", "load",     "acquire",          "mid_attach",
-      "suspend",  "release", "end_chunk", "begin_chunk_wait", "job_finished"};
+      "reg_iter", "advance", "load",      "acquire",     "mid_attach",
+      "suspend",  "release", "end_chunk", "job_finished"};
   const std::vector<std::string> tracks = tracer.track_names();
   std::set<std::string> seen;
   for (const obs::TraceEvent& event : tracer.snapshot()) {
@@ -152,6 +152,56 @@ TEST(SharingController, TraceTrackEmitsOnlyDocumentedEvents) {
   EXPECT_EQ(tracer.dropped(), 0u);
   for (const char* name : {"load", "acquire", "release"}) {
     EXPECT_EQ(seen.count(name), 1u) << name << " missing from the sharing track";
+  }
+}
+
+TEST(SharingController, MembersFinishEachChunkBeforeAnyStartsTheNext) {
+  // Three members of one round log every end_chunk entry and return: none may
+  // return from chunk c before every streaming member has entered it. In the
+  // second pass member 2 acquires and then finishes without streaming (as a
+  // cancelled job does); the members waiting for it must go on without it.
+  for (const bool departs : {false, true}) {
+    Fixture f(GraphMOptions{.chunk_bytes_override = 64 * sizeof(graph::Edge)});
+    const std::size_t chunks = f.graphm.chunk_tables()[1].chunks.size();
+    std::vector<std::unique_ptr<grid::PartitionLoader>> loaders;
+    for (std::uint32_t j = 0; j < 3; ++j) {
+      loaders.push_back(f.graphm.make_loader(j));
+      loaders[j]->register_iteration(j, {1});
+    }
+    Mutex mutex;
+    std::vector<std::pair<std::uint32_t, bool>> log;  // (chunk, returned)
+    const auto record = [&](std::uint32_t chunk, bool returned) {
+      MutexLock lock(mutex);
+      log.emplace_back(chunk, returned);
+    };
+    const auto stream = [&](std::uint32_t j) {
+      const auto view = loaders[j]->acquire_next(j);
+      for (const auto& span : view->chunks) {
+        record(span.chunk_id, false);
+        loaders[j]->end_chunk(j, 1, span.chunk_id);
+        record(span.chunk_id, true);
+      }
+      loaders[j]->release(j, 1);
+      loaders[j]->job_finished(j);
+    };
+    const std::uint32_t streamers = departs ? 2 : 3;
+    std::vector<std::thread> threads;
+    for (std::uint32_t j = 0; j < streamers; ++j) threads.emplace_back(stream, j);
+    if (departs) {
+      EXPECT_TRUE(loaders[2]->acquire_next(2).has_value());
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let 0 and 1 wait
+      loaders[2]->job_finished(2);
+    }
+    for (auto& t : threads) t.join();
+
+    std::vector<std::uint32_t> entered(chunks, 0);
+    for (const auto& [chunk, returned] : log) {
+      EXPECT_TRUE(!returned || entered[chunk] == streamers) << "left chunk " << chunk << " early";
+      if (!returned) ++entered[chunk];
+    }
+    EXPECT_EQ(log.size(), 2 * streamers * chunks);
+    EXPECT_EQ(f.graphm.controller().stats().chunk_barriers, chunks);
+    EXPECT_EQ(f.graphm.controller().stats().mid_round_detaches, departs ? 1u : 0u);
   }
 }
 

@@ -29,6 +29,12 @@ getenv            environment reads in src/ are confined to an allow-list
                   obs/trace.cpp: GRAPHM_TRACE). Behaviour switches belong in
                   config structs the caller sets, not in hidden environment
                   variables.
+sharing-trace-names
+                  the names passed as string literals to trace_event( in
+                  src/graphm/sharing_controller.cpp are exactly the names the
+                  `sharing #G` row of docs/observability.md lists: the trace
+                  track's documentation can neither miss an emitted event nor
+                  list one the code never emits.
 
 Exit status: 0 when clean, 1 when any rule fires. Output is one
 `path:line: [rule] message` per violation — clickable in editors and CI logs.
@@ -69,6 +75,12 @@ SPLITMIX_CTOR = re.compile(r"\bSplitMix64\b(?:\s+\w+)?\s*[({]")
 
 GETENV_CALL = re.compile(r"(?<![\w])getenv\s*\(")
 GETENV_ALLOWED = {"src/graph/datasets.cpp", "src/obs/trace.cpp"}
+
+SHARING_SOURCE = "src/graphm/sharing_controller.cpp"
+OBSERVABILITY_DOC = "docs/observability.md"
+TRACE_EVENT_NAME = re.compile(r'\btrace_event\(\s*"([^"]*)"')
+SHARING_ROW = re.compile(r"^[ \t]*\|\s*`sharing #G`\s*\|(.*)$", re.MULTILINE)
+BACKTICKED = re.compile(r"`([^`]+)`")
 
 ENUMERATOR = re.compile(r"^\s*(k[A-Za-z0-9]+)\s*=\s*\d+\s*,", re.MULTILINE)
 CASE_LABEL = re.compile(r"case\s+TraceCode::(k[A-Za-z0-9]+)\s*:")
@@ -233,6 +245,36 @@ def check_getenv(root: pathlib.Path) -> List[Violation]:
     return violations
 
 
+def check_sharing_trace_names(root: pathlib.Path) -> List[Violation]:
+    source = root / SHARING_SOURCE
+    doc = root / OBSERVABILITY_DOC
+    if not source.is_file() or not doc.is_file():
+        return []  # fixture trees without the sharing layer skip this rule
+    code = strip_comments_and_strings(source.read_text(), keep_strings=True)
+    emitted = {}  # name -> line of its first trace_event call
+    for m in TRACE_EVENT_NAME.finditer(code):
+        emitted.setdefault(m.group(1), line_of(code, m.start()))
+    doc_text = doc.read_text()
+    row = SHARING_ROW.search(doc_text)
+    if row is None:
+        return [Violation(doc.relative_to(root), 1, "sharing-trace-names",
+                          "no `sharing #G` row listing the sharing trace events")]
+    documented = set(BACKTICKED.findall(row.group(1)))
+    row_line = line_of(doc_text, row.start())
+    violations: List[Violation] = []
+    for name in sorted(emitted.keys() - documented):
+        violations.append(Violation(
+            source.relative_to(root), emitted[name], "sharing-trace-names",
+            f'trace_event("{name}") is missing from the `sharing #G` row of '
+            f"{OBSERVABILITY_DOC}"))
+    for name in sorted(documented - emitted.keys()):
+        violations.append(Violation(
+            doc.relative_to(root), row_line, "sharing-trace-names",
+            f"`{name}` is listed in the `sharing #G` row but {SHARING_SOURCE} "
+            "never emits it"))
+    return violations
+
+
 CHECKS: List[Callable[[pathlib.Path], List[Violation]]] = [
     check_wall_clock,
     check_rng,
@@ -240,6 +282,7 @@ CHECKS: List[Callable[[pathlib.Path], List[Violation]]] = [
     check_metric_names,
     check_seed_derivation,
     check_getenv,
+    check_sharing_trace_names,
 ]
 
 

@@ -187,6 +187,54 @@ class LintRuleTests(unittest.TestCase):
         """)
         self.assertEqual(lint.check_getenv(self.tree.root), [])
 
+    # -- sharing-trace-names --------------------------------------------------
+
+    SHARING_CPP = """
+        void SharingController::trace_event(const char* name, JobId job, std::uint64_t d) {}
+        void SharingController::release(JobId job, PartitionId pid) {
+          trace_event("release", job, pid);
+          // trace_event("commented_out", job, 0);
+        }
+        void SharingController::end_chunk(JobId job, PartitionId pid, std::uint32_t c) {
+          trace_event("end_chunk", job, c);
+        }
+    """
+
+    @staticmethod
+    def observability_doc(names: str) -> str:
+        return f"""
+            | track | what it shows |
+            |---|---|
+            | `job #N` | one span per job |
+            | `sharing #G` | one instant per protocol transition: {names} (job argument) |
+        """
+
+    def test_sharing_trace_names_fires_on_undocumented_event(self) -> None:
+        self.tree.write("src/graphm/sharing_controller.cpp", self.SHARING_CPP)
+        self.tree.write("docs/observability.md", self.observability_doc("`release`"))
+        violations = lint.check_sharing_trace_names(self.tree.root)
+        self.assertEqual(self.rules_fired(violations), {"sharing-trace-names"})
+        self.assertEqual(len(violations), 1)
+        self.assertIn('"end_chunk"', violations[0].message)
+        self.assertEqual(violations[0].path.as_posix(), "src/graphm/sharing_controller.cpp")
+        self.assertEqual(violations[0].line, 8)
+
+    def test_sharing_trace_names_fires_on_event_never_emitted(self) -> None:
+        self.tree.write("src/graphm/sharing_controller.cpp", self.SHARING_CPP)
+        self.tree.write("docs/observability.md", self.observability_doc(
+            "`release`, `start_wait`, `end_chunk`"))
+        violations = lint.check_sharing_trace_names(self.tree.root)
+        self.assertEqual(self.rules_fired(violations), {"sharing-trace-names"})
+        self.assertEqual(len(violations), 1)
+        self.assertIn("`start_wait`", violations[0].message)
+        self.assertEqual(violations[0].path.as_posix(), "docs/observability.md")
+
+    def test_sharing_trace_names_quiet_when_sets_match(self) -> None:
+        self.tree.write("src/graphm/sharing_controller.cpp", self.SHARING_CPP)
+        self.tree.write("docs/observability.md",
+                        self.observability_doc("`end_chunk`, `release`"))
+        self.assertEqual(lint.check_sharing_trace_names(self.tree.root), [])
+
     # -- the real tree --------------------------------------------------------
 
     def test_real_tree_is_clean(self) -> None:
