@@ -1,7 +1,7 @@
 #include "graphm/chunk_table.hpp"
 
+#include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 namespace graphm::core {
 
@@ -27,8 +27,8 @@ std::size_t chunk_size_bytes(const sim::PlatformConfig& config, std::uint64_t gr
 
 std::uint64_t ChunkInfo::active_edges(const util::AtomicBitmap& bitmap) const {
   std::uint64_t total = 0;
-  for (const ChunkEntry& entry : entries) {
-    if (bitmap.get(entry.source)) total += entry.out_edges;
+  for (const graph::SourceRun& run : index.runs) {
+    if (bitmap.get(run.src)) total += run.count;
   }
   return total;
 }
@@ -41,91 +41,8 @@ graph::EdgeCount ChunkTable::total_edges() const {
 
 std::uint64_t ChunkTable::footprint_bytes() const {
   std::uint64_t bytes = chunks.size() * sizeof(ChunkInfo);
-  for (const ChunkInfo& chunk : chunks) {
-    bytes += chunk.entries.size() * sizeof(ChunkEntry);
-    bytes += chunk.runs.size() * sizeof(graph::SourceRun);
-    bytes += chunk.run_segments.size() * sizeof(std::uint32_t);
-  }
+  for (const ChunkInfo& chunk : chunks) bytes += chunk.index.footprint_bytes();
   return bytes;
-}
-
-namespace {
-
-// Epoch-stamped open-addressing map from source vertex to entry index. The
-// labelling pass is the extra preprocessing Table 3 charges to GraphM, so it
-// must stay a small fraction of the base format conversion — a chunk holds at
-// most a few thousand edges, and this scratch table costs ~2 probes per edge
-// with no allocation per chunk.
-class SourceIndex {
- public:
-  explicit SourceIndex(std::size_t max_entries) {
-    std::size_t cap = 16;
-    while (cap < 2 * max_entries) cap <<= 1;
-    keys_.assign(cap, 0);
-    values_.assign(cap, 0);
-    stamps_.assign(cap, 0);
-    mask_ = cap - 1;
-  }
-
-  void next_chunk() { ++epoch_; }
-
-  /// Returns the slot for `src`; `found` reports whether it was present.
-  std::size_t& lookup(graph::VertexId src, bool& found) {
-    std::size_t slot = (src * 0x9E3779B9u) & mask_;
-    for (;;) {
-      if (stamps_[slot] != epoch_) {
-        stamps_[slot] = epoch_;
-        keys_[slot] = src;
-        found = false;
-        return values_[slot];
-      }
-      if (keys_[slot] == src) {
-        found = true;
-        return values_[slot];
-      }
-      slot = (slot + 1) & mask_;
-    }
-  }
-
- private:
-  std::vector<graph::VertexId> keys_;
-  std::vector<std::size_t> values_;
-  std::vector<std::uint32_t> stamps_;
-  std::size_t mask_ = 0;
-  std::uint32_t epoch_ = 1;
-};
-
-ChunkInfo label_chunk_with(SourceIndex& index, const graph::Edge* edges,
-                           graph::EdgeCount count, graph::EdgeCount edge_begin) {
-  ChunkInfo info;
-  info.edge_begin = edge_begin;
-  info.edge_end = edge_begin + count;
-  index.next_chunk();
-  for (graph::EdgeCount i = 0; i < count; ++i) {
-    const graph::VertexId src = edges[i].src;
-    bool found = false;
-    std::size_t& slot = index.lookup(src, found);
-    if (!found) {
-      slot = info.entries.size();
-      info.entries.push_back(ChunkEntry{src, 1});  // InsertEntry(<es, 1>)
-    } else {
-      ++info.entries[slot].out_edges;              // N+(es) += 1
-    }
-    // The run index rides along at no extra passes.
-    graph::append_source_run(info.runs, src);
-  }
-  info.run_segments = graph::sorted_run_segments(info.runs);
-  return info;
-}
-
-}  // namespace
-
-ChunkInfo label_chunk(const graph::Edge* edges, graph::EdgeCount count,
-                      graph::EdgeCount edge_begin) {
-  // Sources end up in first-appearance order, as the streaming pass of
-  // Algorithm 1 naturally produces.
-  SourceIndex index(std::max<std::size_t>(16, count));
-  return label_chunk_with(index, edges, count, edge_begin);
 }
 
 ChunkTable label_partition(const graph::Edge* edges, graph::EdgeCount count,
@@ -139,11 +56,12 @@ ChunkTable label_partition(const graph::Edge* edges, graph::EdgeCount count,
   const auto num_chunks =
       static_cast<std::size_t>((count + edges_per_chunk - 1) / edges_per_chunk);
   table.chunks.resize(num_chunks);
-  SourceIndex scratch(std::min<std::size_t>(edges_per_chunk, count));
   for (std::size_t c = 0; c < num_chunks; ++c) {
-    const graph::EdgeCount begin = static_cast<graph::EdgeCount>(c) * edges_per_chunk;
-    const graph::EdgeCount n = std::min<graph::EdgeCount>(edges_per_chunk, count - begin);
-    table.chunks[c] = label_chunk_with(scratch, edges + begin, n, begin);
+    ChunkInfo& chunk = table.chunks[c];
+    chunk.edge_begin = static_cast<graph::EdgeCount>(c) * edges_per_chunk;
+    chunk.edge_end = std::min(chunk.edge_begin + edges_per_chunk, count);
+    // One streaming pass per chunk: its runs carry every <v, N+(v)> pair.
+    chunk.index = graph::index_runs(edges + chunk.edge_begin, chunk.total_edges());
   }
   return table;
 }

@@ -3,15 +3,20 @@
 //
 // A chunk is a *logical* range of a partition's edge stream sized to fit the
 // LLC alongside the concurrent jobs' job-specific data; the specific graph
-// representation is never modified. Each chunk_table entry is the paper's
-// key-value pair <source vertex v, N+(v)> — the number of v's out-edges
-// inside the chunk — so a job's active edges in a chunk are known without
-// re-reading the graph.
+// representation is never modified. The paper labels each chunk with a
+// chunk_table of <source vertex v, N+(v)> pairs — the number of v's
+// out-edges inside the chunk — so a job's active edges in a chunk are known
+// without re-reading the graph. Here that table is kept in run-length form:
+// the chunk's source-run index (graph::RunIndex), whose runs split the
+// chunk's edges by source, so N+(v) is the sum of v's run counts (one run
+// per src-sorted grid block the chunk covers). The same index is what the
+// engine walks to skip inactive sources' edges.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "graph/run_index.hpp"
 #include "graph/types.hpp"
 #include "sim/cost_model.hpp"
 #include "util/bitmap.hpp"
@@ -28,30 +33,18 @@ inline constexpr std::size_t kVertexValueBytes = sizeof(double);
 std::size_t chunk_size_bytes(const sim::PlatformConfig& config, std::uint64_t graph_bytes,
                              std::uint64_t num_vertices, std::size_t vertex_value_bytes);
 
-struct ChunkEntry {
-  graph::VertexId source;        // v
-  std::uint32_t out_edges;       // N+(v) within the chunk
-};
-
 struct ChunkInfo {
   graph::EdgeCount edge_begin = 0;  // range within the partition's edge stream
   graph::EdgeCount edge_end = 0;
-  /// c_table: one entry per distinct source, in first-appearance order.
-  std::vector<ChunkEntry> entries;
-  /// Source-run skip index over the chunk's edge stream (see
-  /// graph::SourceRun): recorded for free during the labelling pass and
-  /// handed to the engine through ChunkSpan so inactive sources' edges are
-  /// never read. Re-labelled alongside entries when a snapshot replaces the
-  /// chunk's content.
-  std::vector<graph::SourceRun> runs;
-  /// graph::sorted_run_segments(runs): one ascending segment per src-sorted
-  /// grid block the chunk covers; the engine binary-searches within each.
-  std::vector<std::uint32_t> run_segments;
+  /// c_table in run-length form over the chunk's edge stream; handed to the
+  /// engine through ChunkSpan so inactive sources' edges are never read.
+  graph::RunIndex index;
 
   [[nodiscard]] graph::EdgeCount total_edges() const { return edge_end - edge_begin; }
 
   /// Sum of N+(v) over sources active in `bitmap` — the
-  /// "sum over v in Vk intersect Aj of N+k(v)" term of Formulas 2-3.
+  /// "sum over v in Vk intersect Aj of N+k(v)" term of Formulas 2-3 — read
+  /// as the summed counts of the runs whose source is active.
   [[nodiscard]] std::uint64_t active_edges(const util::AtomicBitmap& bitmap) const;
 };
 
@@ -68,11 +61,5 @@ struct ChunkTable {
 /// `chunk_bytes` (the final chunk may be smaller).
 ChunkTable label_partition(const graph::Edge* edges, graph::EdgeCount count,
                            std::size_t chunk_bytes);
-
-/// Re-labels a single chunk's (possibly mutated/updated) content in place;
-/// used when snapshots replace chunk data (Section 3.3.2: "Set_c also needs
-/// to be updated accordingly").
-ChunkInfo label_chunk(const graph::Edge* edges, graph::EdgeCount count,
-                      graph::EdgeCount edge_begin);
 
 }  // namespace graphm::core

@@ -45,7 +45,6 @@ class GraphM {
 
   [[nodiscard]] SharingController& controller() { return controller_; }
   [[nodiscard]] const SharingController& controller() const { return controller_; }
-  [[nodiscard]] const storage::PartitionedStore& store() const { return store_; }
 
  private:
   const storage::PartitionedStore& store_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <stdexcept>
 
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
@@ -306,18 +307,14 @@ grid::PartitionView SharingController::build_view_locked(JobId job, PartitionId 
       // Replaced content need not follow the grid's block layout (nor keep
       // the chunk's edge count), so the engine streams it serially.
       span.stream_offset = grid::ChunkSpan::kNoLayout;
-      // Overlays are relabelled when created, so their run index matches the
+      // Overlays are indexed when created, so their runs match the
       // replaced content.
-      span.runs = (*overlay)->info.runs.data();
-      span.num_runs = static_cast<std::uint32_t>((*overlay)->info.runs.size());
-      span.run_segments = (*overlay)->info.run_segments.data();
+      span.runs = &(*overlay)->runs;
     } else {
       span.edges = shared_buffer_.data() + info.edge_begin;
       span.edge_count = info.total_edges();
       span.stream_offset = info.edge_begin;
-      span.runs = info.runs.data();
-      span.num_runs = static_cast<std::uint32_t>(info.runs.size());
-      span.run_segments = info.run_segments.data();
+      span.runs = &info.index;
     }
     span.llc_base = reinterpret_cast<std::uint64_t>(span.edges);
     view.chunks.push_back(span);
@@ -337,9 +334,12 @@ std::vector<graph::Edge> SharingController::base_chunk_content_locked(PartitionI
 SharingController::OverlayPtr SharingController::make_overlay_locked(
     PartitionId pid, std::uint32_t chunk_id, std::vector<graph::Edge> edges,
     std::uint64_t version) {
+  // An overlay of a chunk the table does not have would never resolve.
+  if (chunk_id >= (*chunk_tables_)[pid].chunks.size()) {
+    throw std::out_of_range("SharingController: no such chunk");
+  }
   auto overlay = std::make_shared<OverlayChunk>();
-  overlay->info = label_chunk(edges.data(), edges.size(),
-                              (*chunk_tables_)[pid].chunks.at(chunk_id).edge_begin);
+  overlay->runs = graph::index_runs(edges.data(), edges.size());
   overlay->version = version;
   overlay->tracking = sim::TrackedAllocation(&platform_.memory(),
                                              sim::MemoryCategory::kGraphStructure,

@@ -110,7 +110,7 @@ class SharingController {
   };
   struct OverlayChunk {
     std::vector<graph::Edge> edges;
-    ChunkInfo info;              // re-labelled (Set_c update)
+    graph::RunIndex runs;        // the replaced content's index (Set_c update)
     std::uint64_t version = 0;   // updates only
     sim::TrackedAllocation tracking;
   };

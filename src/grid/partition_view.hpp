@@ -9,6 +9,7 @@
 #include <limits>
 #include <vector>
 
+#include "graph/run_index.hpp"
 #include "graph/types.hpp"
 
 namespace graphm::grid {
@@ -31,17 +32,12 @@ struct ChunkSpan {
   std::uint64_t llc_base = 0;
   /// Index of this chunk within the partition's chunk table (or 0).
   std::uint32_t chunk_id = 0;
-  /// Optional source-run index covering exactly [edges, edges+edge_count):
-  /// sum of counts == edge_count, runs in stream order. When present, the
-  /// engine streams active runs and skips inactive sources' edges without
-  /// reading them. Populated by loaders that have (or can cache) the index;
-  /// nullptr falls back to the plain gated block scan.
-  const graph::SourceRun* runs = nullptr;
-  std::uint32_t num_runs = 0;
-  /// Required with `runs`: its graph::sorted_run_segments boundaries, from 0
-  /// to num_runs (one segment per src-sorted grid block the span covers).
-  /// Sparse frontiers binary-search to the next active source in a segment.
-  const std::uint32_t* run_segments = nullptr;
+  /// Optional source-run index covering exactly [edges, edges+edge_count)
+  /// (see graph::RunIndex). When present, the engine streams active runs and
+  /// skips inactive sources' edges without reading them; nullptr falls back
+  /// to the plain gated block scan. GraphM's chunks carry their chunk-table
+  /// index; a bare full-partition span gets the engine's partition index.
+  const graph::RunIndex* runs = nullptr;
 };
 
 struct PartitionView {

@@ -44,21 +44,16 @@ StreamEngine::StreamEngine(const storage::PartitionedStore& store, sim::Platform
   }
 }
 
-const StreamEngine::RunIndex& StreamEngine::partition_runs(std::uint32_t pid,
-                                                           const ChunkSpan& span) const {
+const graph::RunIndex& StreamEngine::partition_runs(std::uint32_t pid,
+                                                    const ChunkSpan& span) const {
   // call_once per partition: concurrent jobs first touching *different*
   // partitions build in parallel; once published the index is immutable and
   // reads are lock-free.
   std::call_once(run_cache_once_[pid], [&] {
-    RunIndex& index = run_cache_[pid];
-    for (graph::EdgeCount i = 0; i < span.edge_count; ++i) {
-      graph::append_source_run(index.runs, span.edges[i].src);
-    }
-    index.runs.shrink_to_fit();
-    index.segments = graph::sorted_run_segments(index.runs);
+    graph::RunIndex& index = run_cache_[pid];
+    index = graph::index_runs(span.edges, span.edge_count);
     MutexLock lock(run_cache_mutex_);
-    run_cache_bytes_ += index.runs.size() * sizeof(graph::SourceRun) +
-                        index.segments.size() * sizeof(std::uint32_t);
+    run_cache_bytes_ += index.footprint_bytes();
     run_cache_tracking_ = sim::TrackedAllocation(
         &platform_.memory(), sim::MemoryCategory::kChunkTables, run_cache_bytes_);
   });
@@ -164,7 +159,7 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
     return processed;
   }
 
-  if (dense || span.runs == nullptr || span.num_runs == 0) {
+  if (dense || span.runs == nullptr || span.runs->runs.empty()) {
     return stream_range(algorithm, span, pid, 0, span.edge_count, active, fan_out);
   }
 
@@ -185,15 +180,18 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
   // ascending segment lands on the first run at or past it, so a genuinely
   // sparse frontier touches O(active log runs) index entries.
   constexpr graph::EdgeCount kMinSkipEdges = 24;
+  const graph::SourceRun* const runs = span.runs->runs.data();
+  const auto run_count = static_cast<std::uint32_t>(span.runs->runs.size());
+  const std::uint32_t* const segments = span.runs->segments.data();
   std::uint64_t processed = 0;
   util::WordCache words(active);
   graph::EdgeCount segment_begin = 0;
   graph::EdgeCount segment_end = 0;  // segment = [segment_begin, segment_end)
   bool have_segment = false;
-  std::uint32_t seg = 0;  // current entry of span.run_segments
+  std::uint32_t seg = 0;  // current entry of segments
   std::uint32_t r = 0;
-  while (r < span.num_runs) {
-    const graph::SourceRun run = span.runs[r];
+  while (r < run_count) {
+    const graph::SourceRun run = runs[r];
     if (words.test(run.src)) {
       const graph::EdgeCount run_begin = run.begin;
       if (!have_segment) {
@@ -210,22 +208,22 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
       continue;
     }
     // Inactive run: jump inside the ascending segment it sits in.
-    while (span.run_segments[seg + 1] <= r) ++seg;
-    const std::uint32_t jump_end = span.run_segments[seg + 1];
+    while (segments[seg + 1] <= r) ++seg;
+    const std::uint32_t jump_end = segments[seg + 1];
     const std::size_t next_src = active.next_set_in_range(run.src + 1, active.size());
     if (next_src >= active.size()) {
       // The rest of this segment is inactive; later ones restart lower.
       r = jump_end;
       continue;
     }
-    const graph::SourceRun* first = span.runs + r + 1;
-    const graph::SourceRun* last = span.runs + jump_end;
+    const graph::SourceRun* first = runs + r + 1;
+    const graph::SourceRun* last = runs + jump_end;
     const graph::SourceRun* it =
         std::lower_bound(first, last, next_src,
                          [](const graph::SourceRun& a, std::size_t src) {
                            return a.src < src;
                          });
-    r = static_cast<std::uint32_t>(it - span.runs);
+    r = static_cast<std::uint32_t>(it - runs);
   }
   if (have_segment) {
     processed += stream_range(algorithm, span, pid, segment_begin,
@@ -270,7 +268,7 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
       // partition visit order.
       algorithm.begin_partition(view->pid, store_.meta().num_partitions);
       const auto [values_ptr, values_bytes] = algorithm.values_span();
-      // The run walk costs ~8 bytes of index bandwidth per run and only pays
+      // The run walk costs ~12 bytes of index bandwidth per run and only pays
       // when it actually skips edge reads. Dense-ish frontiers (PageRank/WCC
       // full scans, BFS wave peaks) skip almost nothing, so anything at or
       // above half-active streams plain blocks with the in-loop word test —
@@ -284,16 +282,13 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
       std::uint64_t instructions = 0;
       for (std::size_t c = 0; c < num_chunks; ++c) {
         ChunkSpan span = view->chunks[c];
-        // Loaders that hand out bare full-partition spans get the engine's
-        // shared run index attached — built lazily, only when a sparse
-        // frontier can actually use it.
-        if (config_.use_blocks && !dense && span.runs == nullptr && num_chunks == 1 &&
-            span.chunk_id == 0 && span.edge_count != 0 &&
+        // A span without an index that is the whole base partition (what
+        // DefaultLoader hands out) gets the engine's shared partition index —
+        // built lazily, only when a sparse frontier can actually use it.
+        if (span.runs == nullptr && !dense && config_.use_blocks &&
+            span.stream_offset == 0 &&
             span.edge_count == store_.meta().partition_edges(view->pid)) {
-          const RunIndex& index = partition_runs(view->pid, span);
-          span.runs = index.runs.data();
-          span.num_runs = static_cast<std::uint32_t>(index.runs.size());
-          span.run_segments = index.segments.data();
+          span.runs = &partition_runs(view->pid, span);
         }
 
         util::Timer chunk_timer;

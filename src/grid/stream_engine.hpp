@@ -123,18 +123,13 @@ class StreamEngine {
                              std::uint32_t pid, graph::EdgeCount begin, graph::EdgeCount len,
                              const util::AtomicBitmap& active, bool fan_out) const;
 
-  struct RunIndex {
-    std::vector<graph::SourceRun> runs;
-    std::vector<std::uint32_t> segments;  // graph::sorted_run_segments(runs)
-  };
-
   /// The shared per-partition source-run index for loaders that hand out
   /// bare full-partition spans (DefaultLoader). Built lazily from the span's
   /// own edges on first sparse use, then reused by every job on this engine
   /// — immutable structure metadata, like out_degrees_. Tracked under
   /// kChunkTables (it is skip-index metadata, the same class as GraphM's
   /// Set_c).
-  const RunIndex& partition_runs(std::uint32_t pid, const ChunkSpan& span) const;
+  const graph::RunIndex& partition_runs(std::uint32_t pid, const ChunkSpan& span) const;
 
   const storage::PartitionedStore& store_;
   sim::Platform& platform_;
@@ -150,7 +145,7 @@ class StreamEngine {
   mutable Mutex run_cache_mutex_;  // guards only the tracked byte counter
   /// Built under a per-partition once_flag, then immutable — lock-free reads
   /// after publication, so deliberately NOT GUARDED_BY(run_cache_mutex_).
-  mutable std::vector<RunIndex> run_cache_;  // sized to P, stable
+  mutable std::vector<graph::RunIndex> run_cache_;  // sized to P, stable
   /// One flag per partition so distinct partitions build concurrently; the
   /// deque keeps the (immovable) flags at stable addresses.
   mutable std::deque<std::once_flag> run_cache_once_;

@@ -79,30 +79,33 @@ TEST_P(LabelPartitionTest, Algorithm1Invariants) {
   }
   EXPECT_LE(table.chunks.back().total_edges(), static_cast<graph::EdgeCount>(chunk_edges));
 
-  // Invariant 3: per-chunk N+(v) sums to the chunk's edge count, and matches
-  // a recount of the chunk's source occurrences.
+  // Invariant 3: the runs are the chunk_table's <v, N+(v)> pairs in
+  // run-length form — per source, the summed run counts match a recount of
+  // the chunk's source occurrences, and all counts sum to the chunk's edge
+  // count.
   for (const ChunkInfo& chunk : table.chunks) {
     std::uint64_t sum = 0;
-    std::map<graph::VertexId, std::uint32_t> recount;
+    std::map<graph::VertexId, std::uint64_t> recount;
     for (graph::EdgeCount i = chunk.edge_begin; i < chunk.edge_end; ++i) {
       ++recount[g.edges()[i].src];
     }
-    for (const ChunkEntry& entry : chunk.entries) {
-      sum += entry.out_edges;
-      EXPECT_EQ(entry.out_edges, recount.at(entry.source));
+    std::map<graph::VertexId, std::uint64_t> summed;
+    for (const graph::SourceRun& run : chunk.index.runs) {
+      sum += run.count;
+      summed[run.src] += run.count;
     }
+    EXPECT_EQ(summed, recount);
     EXPECT_EQ(sum, chunk.total_edges());
-    EXPECT_EQ(recount.size(), chunk.entries.size());
 
     // Invariant 4: the run index is split into strictly ascending segments,
     // with boundaries from 0 to runs.size().
-    const std::vector<std::uint32_t>& bounds = chunk.run_segments;
+    const std::vector<std::uint32_t>& bounds = chunk.index.segments;
     ASSERT_GE(bounds.size(), 2u);
     EXPECT_EQ(bounds.front(), 0u);
-    EXPECT_EQ(bounds.back(), chunk.runs.size());
-    for (std::uint32_t r = 1; r < chunk.runs.size(); ++r) {
+    EXPECT_EQ(bounds.back(), chunk.index.runs.size());
+    for (std::uint32_t r = 1; r < chunk.index.runs.size(); ++r) {
       if (std::binary_search(bounds.begin(), bounds.end(), r)) continue;
-      EXPECT_LT(chunk.runs[r - 1].src, chunk.runs[r].src);
+      EXPECT_LT(chunk.index.runs[r - 1].src, chunk.index.runs[r].src);
     }
   }
 
@@ -111,7 +114,7 @@ TEST_P(LabelPartitionTest, Algorithm1Invariants) {
   std::stable_sort(sorted.begin(), sorted.end(),
                    [](const graph::Edge& a, const graph::Edge& b) { return a.src < b.src; });
   for (const ChunkInfo& chunk : label_partition(sorted.data(), sorted.size(), chunk_bytes).chunks) {
-    EXPECT_EQ(chunk.run_segments.size(), 2u);
+    EXPECT_EQ(chunk.index.segments.size(), 2u);
   }
 }
 
@@ -132,7 +135,12 @@ TEST(ChunkInfo, ActiveEdgesHonorsBitmap) {
   g.add_edge(0, 2);
   g.add_edge(1, 2);
   g.add_edge(2, 0);
-  const ChunkInfo info = label_chunk(g.edges().data(), g.num_edges(), 0);
+  const auto label_one_chunk = [&] {
+    const ChunkTable table = label_partition(g.edges().data(), g.num_edges(), 1 << 20);
+    EXPECT_EQ(table.chunks.size(), 1u);
+    return table.chunks.front();
+  };
+  const ChunkInfo info = label_one_chunk();
 
   util::AtomicBitmap active(3);
   EXPECT_EQ(info.active_edges(active), 0u);
@@ -142,6 +150,23 @@ TEST(ChunkInfo, ActiveEdgesHonorsBitmap) {
   EXPECT_EQ(info.active_edges(active), 3u);
   active.set(1);
   EXPECT_EQ(info.active_edges(active), 4u);
+
+  // Source 0 again after 1 and 2, as in a chunk across two src-sorted grid
+  // blocks: 0 has two runs, and N+(0) is the sum of both.
+  g.add_edge(0, 1);
+  g.add_edge(0, 3);
+  const ChunkInfo split = label_one_chunk();
+  ASSERT_EQ(split.index.runs.size(), 4u);
+  EXPECT_EQ(split.index.runs.front().src, 0u);
+  EXPECT_EQ(split.index.runs.back().src, 0u);
+
+  util::AtomicBitmap sources(3);
+  sources.set(0);
+  EXPECT_EQ(split.active_edges(sources), 4u);
+  sources.set(1);
+  EXPECT_EQ(split.active_edges(sources), 5u);
+  sources.set(2);
+  EXPECT_EQ(split.active_edges(sources), 6u);
 }
 
 TEST(ChunkTable, FootprintGrowsWithEntries) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "algos/bfs.hpp"
 #include "algos/factory.hpp"
@@ -200,6 +201,45 @@ TEST(StreamEngine, SegmentJumpsMatchScalarOracleOnMultiBlockPartitions) {
         << algos::to_string(kind);
     EXPECT_EQ(oracle_stats.iterations, block_stats.iterations) << algos::to_string(kind);
   }
+}
+
+TEST(StreamEngine, PartitionRunIndexBuiltOncePerPartitionAcrossJobs) {
+  // A ring: one BFS vertex is active per iteration, so every partition the
+  // job reaches is streamed through the run walk with a sparse frontier.
+  constexpr graph::VertexId kVertices = 256;
+  const auto g = graph::generate_ring(kVertices);
+  const GridStore store = test::make_grid(g, 4);
+  sim::Platform platform;
+  StreamConfig config;
+  config.model_llc = false;
+  const StreamEngine engine(store, platform, config);
+
+  // Two sparse BFS jobs on one engine, each through its own DefaultLoader.
+  std::vector<JobRunStats> stats(2);
+  std::vector<std::thread> jobs;
+  for (std::uint32_t job = 0; job < 2; ++job) {
+    jobs.emplace_back([&, job] {
+      algos::JobSpec spec;
+      spec.kind = algos::AlgorithmKind::kBfs;
+      spec.root = job * kVertices / 2;
+      auto bfs = algos::make_algorithm(spec);
+      DefaultLoader loader(store, platform);
+      stats[job] = engine.run_job(job, *bfs, loader);
+    });
+  }
+  for (std::thread& t : jobs) t.join();
+
+  // Each job went round the whole ring, so both touched every partition; the
+  // tracked index is still one per partition, not one per job.
+  std::uint64_t one_per_partition = 0;
+  sim::Platform io;
+  std::vector<Edge> buffer;
+  for (std::uint32_t p = 0; p < store.meta().num_partitions; ++p) {
+    store.read_partition(p, buffer, io, 0);
+    one_per_partition += graph::index_runs(buffer.data(), buffer.size()).footprint_bytes();
+  }
+  for (const JobRunStats& s : stats) EXPECT_GE(s.iterations, kVertices - 1);
+  EXPECT_EQ(platform.memory().current(sim::MemoryCategory::kChunkTables), one_per_partition);
 }
 
 TEST(StreamEngine, JobStatsAccounting) {

@@ -11,6 +11,7 @@
 #include "algos/pagerank.hpp"
 #include "algos/bfs.hpp"
 #include "obs/trace.hpp"
+#include "util/rng.hpp"
 #include "test_helpers.hpp"
 
 namespace graphm::core {
@@ -40,6 +41,44 @@ TEST(GraphMInit, MetadataTrackedInMemoryTracker) {
   Fixture f;
   EXPECT_EQ(f.platform.memory().current(sim::MemoryCategory::kChunkTables),
             f.graphm.metadata_bytes());
+}
+
+TEST(GraphMInit, ActiveEdgesMatchStoredEdgeOracle) {
+  // An odd chunk size, so chunks straddle the grid's src-sorted blocks and a
+  // source can have several runs in one chunk.
+  GraphMOptions options;
+  options.chunk_bytes_override = 97 * sizeof(graph::Edge);
+  Fixture f(options);
+  const grid::GridMeta& meta = f.store.meta();
+  sim::Platform io;
+  std::vector<std::vector<graph::Edge>> partitions(meta.num_partitions);
+  for (std::uint32_t pid = 0; pid < meta.num_partitions; ++pid) {
+    f.store.read_partition(pid, partitions[pid], io, 0);
+  }
+  std::size_t straddling = 0;  // chunks whose runs span several blocks
+  for (const ChunkTable& table : f.graphm.chunk_tables()) {
+    for (const ChunkInfo& chunk : table.chunks) straddling += chunk.index.segments.size() > 2;
+  }
+  ASSERT_GT(straddling, 0u);
+
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    // Densities from 1/2 down to 1/32 of the vertices.
+    util::SplitMix64 rng(seed);
+    util::AtomicBitmap active(meta.num_vertices);
+    for (graph::VertexId v = 0; v < meta.num_vertices; ++v) {
+      if (rng.next_below(std::uint64_t{1} << seed) == 0) active.set(v);
+    }
+    for (std::uint32_t pid = 0; pid < meta.num_partitions; ++pid) {
+      for (const ChunkInfo& chunk : f.graphm.chunk_tables()[pid].chunks) {
+        std::uint64_t oracle = 0;
+        for (graph::EdgeCount i = chunk.edge_begin; i < chunk.edge_end; ++i) {
+          if (active.get(partitions[pid][i].src)) ++oracle;
+        }
+        EXPECT_EQ(chunk.active_edges(active), oracle)
+            << "seed " << seed << " partition " << pid << " chunk at " << chunk.edge_begin;
+      }
+    }
+  }
 }
 
 TEST(GraphMInit, MakeLoaderBeforeInitThrows) {

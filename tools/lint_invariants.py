@@ -35,6 +35,12 @@ sharing-trace-names
                   `sharing #G` row of docs/observability.md lists: the trace
                   track's documentation can neither miss an emitted event nor
                   list one the code never emits.
+one-run-index-builder
+                  in src/, append_source_run( and sorted_run_segments( appear
+                  only in the run-index builder's files (src/graph/run_index.*):
+                  every source-run index is built by graph::index_runs, so
+                  chunk tables, snapshot overlays and the engine's partition
+                  index share one run granularity and one shape.
 
 Exit status: 0 when clean, 1 when any rule fires. Output is one
 `path:line: [rule] message` per violation — clickable in editors and CI logs.
@@ -81,6 +87,9 @@ OBSERVABILITY_DOC = "docs/observability.md"
 TRACE_EVENT_NAME = re.compile(r'\btrace_event\(\s*"([^"]*)"')
 SHARING_ROW = re.compile(r"^[ \t]*\|\s*`sharing #G`\s*\|(.*)$", re.MULTILINE)
 BACKTICKED = re.compile(r"`([^`]+)`")
+
+RUN_INDEX_PRIMITIVE = re.compile(r"(?<![\w])(append_source_run|sorted_run_segments)\s*\(")
+RUN_INDEX_BUILDER = {"src/graph/run_index.hpp", "src/graph/run_index.cpp"}
 
 ENUMERATOR = re.compile(r"^\s*(k[A-Za-z0-9]+)\s*=\s*\d+\s*,", re.MULTILINE)
 CASE_LABEL = re.compile(r"case\s+TraceCode::(k[A-Za-z0-9]+)\s*:")
@@ -275,6 +284,21 @@ def check_sharing_trace_names(root: pathlib.Path) -> List[Violation]:
     return violations
 
 
+def check_one_run_index_builder(root: pathlib.Path) -> List[Violation]:
+    violations: List[Violation] = []
+    for path in cxx_files(root, ["src"]):
+        rel = path.relative_to(root)
+        if rel.as_posix() in RUN_INDEX_BUILDER:
+            continue
+        code = strip_comments_and_strings(path.read_text())
+        for m in RUN_INDEX_PRIMITIVE.finditer(code):
+            violations.append(Violation(
+                rel, line_of(code, m.start()), "one-run-index-builder",
+                f"{m.group(1)}() outside src/graph/run_index.* — build run "
+                "indexes with graph::index_runs"))
+    return violations
+
+
 CHECKS: List[Callable[[pathlib.Path], List[Violation]]] = [
     check_wall_clock,
     check_rng,
@@ -283,6 +307,7 @@ CHECKS: List[Callable[[pathlib.Path], List[Violation]]] = [
     check_seed_derivation,
     check_getenv,
     check_sharing_trace_names,
+    check_one_run_index_builder,
 ]
 
 

@@ -235,6 +235,36 @@ class LintRuleTests(unittest.TestCase):
                         self.observability_doc("`end_chunk`, `release`"))
         self.assertEqual(lint.check_sharing_trace_names(self.tree.root), [])
 
+    # -- one-run-index-builder ------------------------------------------------
+
+    def test_one_run_index_builder_fires_outside_builder(self) -> None:
+        self.tree.write("src/grid/engine.cpp", """
+            void build(std::vector<graph::SourceRun>& runs, const Edge* e, std::size_t n) {
+              for (std::size_t i = 0; i < n; ++i) graph::append_source_run(runs, e[i].src);
+              const auto bounds = graph::sorted_run_segments (runs);
+            }
+        """)
+        violations = lint.check_one_run_index_builder(self.tree.root)
+        self.assertEqual(self.rules_fired(violations), {"one-run-index-builder"})
+        self.assertEqual([v.line for v in violations], [3, 4])
+
+    def test_one_run_index_builder_allows_builder_and_ignores_comments(self) -> None:
+        self.tree.write("src/graph/run_index.cpp", """
+            RunIndex index_runs(const Edge* edges, EdgeCount count) {
+              RunIndex index;
+              for (EdgeCount i = 0; i < count; ++i) append_source_run(index.runs, edges[i].src);
+              index.segments = sorted_run_segments(index.runs);
+              return index;
+            }
+        """)
+        self.tree.write("src/graphm/chunk_table.cpp", """
+            // Built with graph::index_runs, never append_source_run(runs, src).
+            const char* note = "sorted_run_segments(";
+            chunk.index = graph::index_runs(edges, count);
+            my_append_source_run(x);
+        """)
+        self.assertEqual(lint.check_one_run_index_builder(self.tree.root), [])
+
     # -- the real tree --------------------------------------------------------
 
     def test_real_tree_is_clean(self) -> None:
