@@ -47,7 +47,10 @@ int main() {
       for (const auto& chunk : graphm.chunk_tables()[pid].chunks) {
         std::size_t needed_by = 0;
         for (const auto& job : jobs) {
-          if (!job->done() && chunk.active_edges(job->active_vertices()) > 0) ++needed_by;
+          if (!job->done() &&
+              chunk.active_edges(store.meta().source_runs[pid], job->active_vertices()) > 0) {
+            ++needed_by;
+          }
         }
         counts.push_back(needed_by);
       }

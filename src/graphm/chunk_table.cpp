@@ -25,9 +25,11 @@ std::size_t chunk_size_bytes(const sim::PlatformConfig& config, std::uint64_t gr
   return quantized == 0 ? quantum : quantized;
 }
 
-std::uint64_t ChunkInfo::active_edges(const util::AtomicBitmap& bitmap) const {
+std::uint64_t ChunkInfo::active_edges(const graph::RunIndex& index,
+                                      const util::AtomicBitmap& bitmap) const {
   std::uint64_t total = 0;
-  for (const graph::SourceRun& run : index.runs) {
+  for (std::uint32_t r = run_window.first; r < run_window.last; ++r) {
+    const graph::SourceRun run = graph::clip_run(index.runs[r], edge_begin, edge_end);
     if (bitmap.get(run.src)) total += run.count;
   }
   return total;
@@ -39,16 +41,12 @@ graph::EdgeCount ChunkTable::total_edges() const {
   return total;
 }
 
-std::uint64_t ChunkTable::footprint_bytes() const {
-  std::uint64_t bytes = chunks.size() * sizeof(ChunkInfo);
-  for (const ChunkInfo& chunk : chunks) bytes += chunk.index.footprint_bytes();
-  return bytes;
-}
+std::uint64_t ChunkTable::footprint_bytes() const { return chunks.size() * sizeof(ChunkInfo); }
 
-ChunkTable label_partition(const graph::Edge* edges, graph::EdgeCount count,
-                           std::size_t chunk_bytes) {
+ChunkTable label_partition(const graph::RunIndex& index, std::size_t chunk_bytes) {
   ChunkTable table;
-  if (count == 0) return table;
+  if (index.runs.empty()) return table;
+  const graph::EdgeCount count = graph::EdgeCount{index.runs.back().begin} + index.runs.back().count;
   const graph::EdgeCount edges_per_chunk =
       std::max<graph::EdgeCount>(1, chunk_bytes / sizeof(graph::Edge));
   // "edge_num * SG/|E| >= Sc or P_i is visited" — i.e. cut a chunk once its
@@ -60,8 +58,7 @@ ChunkTable label_partition(const graph::Edge* edges, graph::EdgeCount count,
     ChunkInfo& chunk = table.chunks[c];
     chunk.edge_begin = static_cast<graph::EdgeCount>(c) * edges_per_chunk;
     chunk.edge_end = std::min(chunk.edge_begin + edges_per_chunk, count);
-    // One streaming pass per chunk: its runs carry every <v, N+(v)> pair.
-    chunk.index = graph::index_runs(edges + chunk.edge_begin, chunk.total_edges());
+    chunk.run_window = graph::window_runs(index, chunk.edge_begin, chunk.edge_end);
   }
   return table;
 }

@@ -6,11 +6,11 @@
 // representation is never modified. The paper labels each chunk with a
 // chunk_table of <source vertex v, N+(v)> pairs — the number of v's
 // out-edges inside the chunk — so a job's active edges in a chunk are known
-// without re-reading the graph. Here that table is kept in run-length form:
-// the chunk's source-run index (graph::RunIndex), whose runs split the
-// chunk's edges by source, so N+(v) is the sum of v's run counts (one run
-// per src-sorted grid block the chunk covers). The same index is what the
-// engine walks to skip inactive sources' edges.
+// without re-reading the graph. Here that table is the store's source-run
+// index of the partition (StoreMeta::source_runs, written at preprocess)
+// seen through the chunk's window [edge_begin, edge_end): N+(v) is the sum
+// of v's clipped run counts, and labelling only cuts chunk boundaries. The
+// engine walks the same index to skip inactive sources' edges.
 #pragma once
 
 #include <cstdint>
@@ -36,16 +36,18 @@ std::size_t chunk_size_bytes(const sim::PlatformConfig& config, std::uint64_t gr
 struct ChunkInfo {
   graph::EdgeCount edge_begin = 0;  // range within the partition's edge stream
   graph::EdgeCount edge_end = 0;
-  /// c_table in run-length form over the chunk's edge stream; handed to the
-  /// engine through ChunkSpan so inactive sources' edges are never read.
-  graph::RunIndex index;
+  /// The runs of the partition's index that overlap [edge_begin, edge_end),
+  /// found once when the chunk is cut so no stream of it searches again.
+  graph::RunWindow run_window;
 
   [[nodiscard]] graph::EdgeCount total_edges() const { return edge_end - edge_begin; }
 
   /// Sum of N+(v) over sources active in `bitmap` — the
   /// "sum over v in Vk intersect Aj of N+k(v)" term of Formulas 2-3 — read
-  /// as the summed counts of the runs whose source is active.
-  [[nodiscard]] std::uint64_t active_edges(const util::AtomicBitmap& bitmap) const;
+  /// as the active sources' run counts in run_window of the partition's
+  /// `index`, clipped to the chunk.
+  [[nodiscard]] std::uint64_t active_edges(const graph::RunIndex& index,
+                                           const util::AtomicBitmap& bitmap) const;
 };
 
 /// Set_c for one partition.
@@ -53,13 +55,13 @@ struct ChunkTable {
   std::vector<ChunkInfo> chunks;
 
   [[nodiscard]] graph::EdgeCount total_edges() const;
-  /// Approximate memory footprint, tracked under kChunkTables.
+  /// Bytes of the chunk array (the runs it windows are the store's).
   [[nodiscard]] std::uint64_t footprint_bytes() const;
 };
 
-/// Algorithm 1: labels one partition's edge stream into chunks of at most
-/// `chunk_bytes` (the final chunk may be smaller).
-ChunkTable label_partition(const graph::Edge* edges, graph::EdgeCount count,
-                           std::size_t chunk_bytes);
+/// Algorithm 1: cuts the partition stream that `index` covers into chunks of
+/// at most `chunk_bytes` (the final chunk may be smaller), each with its
+/// window of `index`.
+ChunkTable label_partition(const graph::RunIndex& index, std::size_t chunk_bytes);
 
 }  // namespace graphm::core

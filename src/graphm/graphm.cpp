@@ -54,29 +54,32 @@ GraphM::~GraphM() = default;
 std::uint64_t GraphM::init() {
   util::Timer timer;
   const auto& meta = store_.meta();
+  if (meta.source_runs.size() != meta.num_partitions) {
+    throw std::runtime_error("GraphM::init: the store has no source-run index");
+  }
 
   chunk_bytes_ = options_.chunk_bytes_override != 0
                      ? options_.chunk_bytes_override
                      : chunk_size_bytes(platform_.config(), meta.num_edges * sizeof(graph::Edge),
                                         meta.num_vertices, kVertexValueBytes);
 
+  // The chunk_tables' runs are the store's index; Algorithm 1 only cuts
+  // chunk boundaries over it, with no read of the graph.
   chunk_tables_.clear();
   chunk_tables_.resize(meta.num_partitions);
-  // Partitions are read and labelled serially, so the simulated page-cache
-  // charges stay in a deterministic order.
-  std::vector<graph::Edge> buffer;
   for (std::uint32_t pid = 0; pid < meta.num_partitions; ++pid) {
-    store_.read_partition(pid, buffer, platform_, kPreprocessJobId);
-    chunk_tables_[pid] = label_partition(buffer.data(), buffer.size(), chunk_bytes_);
+    chunk_tables_[pid] = label_partition(meta.source_runs[pid], chunk_bytes_);
   }
-  tables_tracking_ = sim::TrackedAllocation(&platform_.memory(),
-                                            sim::MemoryCategory::kChunkTables, metadata_bytes());
+  // The index itself is tracked by the engines over the store.
+  tables_tracking_ =
+      sim::TrackedAllocation(&platform_.memory(), sim::MemoryCategory::kChunkTables,
+                             metadata_bytes() - meta.source_runs_bytes());
   initialized_ = true;
   return timer.elapsed_ns();
 }
 
 std::uint64_t GraphM::metadata_bytes() const {
-  std::uint64_t bytes = 0;
+  std::uint64_t bytes = store_.meta().source_runs_bytes();
   for (const ChunkTable& table : chunk_tables_) bytes += table.footprint_bytes();
   return bytes;
 }

@@ -1,7 +1,7 @@
 // GraphM facade — the public storage-system API of the paper's Table 1.
 //
 //   GraphM graphm(store, platform, options);
-//   graphm.init();                                  // Init(): label chunks
+//   graphm.init();                                  // Init(): cut chunks
 //   auto loader = graphm.make_loader();             // Sharing() plug-in
 //   engine.run_job(job_id, algorithm, *loader);     // GetActiveVertices /
 //                                                   // Barrier+Start (one call)
@@ -27,15 +27,17 @@ class GraphM {
   GraphM(const GraphM&) = delete;
   GraphM& operator=(const GraphM&) = delete;
 
-  /// Init(): one labelling pass over the graph building every partition's
-  /// chunk_table (Algorithm 1). Returns the labelling wall time in ns — the
-  /// extra preprocessing cost Table 3 reports.
+  /// Init(): cuts every partition into chunks (Algorithm 1), windows onto
+  /// the store's source-run index (StoreMeta::source_runs). Makes no store
+  /// read; throws std::runtime_error on a store without the index. Returns
+  /// the wall time in ns (Table 3 adds StoreMeta::index_ns).
   std::uint64_t init();
 
   /// Chunk size chosen by Formula 1 for this graph/platform.
   [[nodiscard]] std::size_t chunk_bytes() const { return chunk_bytes_; }
   [[nodiscard]] const std::vector<ChunkTable>& chunk_tables() const { return chunk_tables_; }
-  /// Extra storage GraphM's metadata occupies (Table 3 discussion).
+  /// Extra storage GraphM's metadata occupies (Table 3 discussion): the
+  /// chunk array, tracked here, plus the store's index, tracked by engines.
   [[nodiscard]] std::uint64_t metadata_bytes() const;
 
   /// Registers a job and returns its Sharing() loader. One loader per job

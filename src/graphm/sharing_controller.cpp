@@ -310,11 +310,14 @@ grid::PartitionView SharingController::build_view_locked(JobId job, PartitionId 
       // Overlays are indexed when created, so their runs match the
       // replaced content.
       span.runs = &(*overlay)->runs;
+      span.run_window = {0, static_cast<std::uint32_t>(span.runs->runs.size())};
     } else {
       span.edges = shared_buffer_.data() + info.edge_begin;
       span.edge_count = info.total_edges();
       span.stream_offset = info.edge_begin;
-      span.runs = &info.index;
+      // The store's partition index; the engine walks the chunk's window.
+      span.runs = &store_.meta().source_runs[pid];
+      span.run_window = info.run_window;
     }
     span.llc_base = reinterpret_cast<std::uint64_t>(span.edges);
     view.chunks.push_back(span);

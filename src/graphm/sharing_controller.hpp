@@ -50,9 +50,6 @@ struct GraphMOptions {
   bool allow_mid_round_attach = false;
 };
 
-/// Reserved job id for preprocessing-time I/O accounting.
-inline constexpr std::uint32_t kPreprocessJobId = 255;
-
 class SharingController {
  public:
   struct Stats {

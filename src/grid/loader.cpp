@@ -40,9 +40,9 @@ std::optional<PartitionView> DefaultLoader::acquire_next(std::uint32_t job_id) {
   span.llc_base = reinterpret_cast<std::uint64_t>(buffer_.data());
   span.chunk_id = 0;
   span.stream_offset = 0;  // the whole row, in block order
-  // No run index here: full-partition spans get theirs from the engine's
-  // shared per-partition cache (immutable structure metadata, one copy per
-  // engine rather than one per job).
+  // The store's index of the row: one copy for every job over the store.
+  span.runs = &store_.meta().source_runs.at(pid);
+  span.run_window = {0, static_cast<std::uint32_t>(span.runs->runs.size())};
   view.chunks.push_back(span);
   return view;
 }

@@ -48,7 +48,8 @@ class PartitionLoader {
 };
 
 /// The engine's original Load(): a private reusable buffer per job, partitions
-/// visited in ascending pid order. Used by the -S and -C schemes.
+/// visited in ascending pid order, each handed out as one span carrying the
+/// store's source-run index of the partition. Used by the -S and -C schemes.
 class DefaultLoader final : public PartitionLoader {
  public:
   DefaultLoader(const storage::PartitionedStore& store, sim::Platform& platform);

@@ -3,6 +3,8 @@
 // under GraphM each span is one labelled chunk (possibly redirected to a
 // copy-on-write snapshot chunk), which is what makes chunk-grained
 // synchronization (one end_chunk per span) and snapshot isolation possible.
+// Either way a span's source-run index is a window onto the one the store
+// wrote at preprocess (or, for a snapshot chunk, the copy's own index).
 #pragma once
 
 #include <cstdint>
@@ -32,12 +34,16 @@ struct ChunkSpan {
   std::uint64_t llc_base = 0;
   /// Index of this chunk within the partition's chunk table (or 0).
   std::uint32_t chunk_id = 0;
-  /// Optional source-run index covering exactly [edges, edges+edge_count)
-  /// (see graph::RunIndex). When present, the engine streams active runs and
-  /// skips inactive sources' edges without reading them; nullptr falls back
-  /// to the plain gated block scan. GraphM's chunks carry their chunk-table
-  /// index; a bare full-partition span gets the engine's partition index.
+  /// Optional source-run index of the stream stream_offset is measured in:
+  /// the store's index of the partition for a span on the layout, the
+  /// span's own content for a kNoLayout overlay. The engine walks its
+  /// window [stream_offset, stream_offset + edge_count) (from 0 for
+  /// kNoLayout) and skips inactive sources' edges without reading them;
+  /// nullptr falls back to the plain gated block scan.
   const graph::RunIndex* runs = nullptr;
+  /// The runs of *runs that overlap the window, found by whoever cuts the
+  /// span (GraphM when it labels its chunks) so streaming never searches.
+  graph::RunWindow run_window;
 };
 
 struct PartitionView {

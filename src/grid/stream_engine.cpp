@@ -37,27 +37,11 @@ StreamEngine::StreamEngine(const storage::PartitionedStore& store, sim::Platform
     : store_(store), platform_(platform), config_(config),
       out_degrees_(store.load_out_degrees()),
       block_starts_(row_block_starts(store.meta())),
-      run_cache_(store.meta().num_partitions),
-      run_cache_once_(store.meta().num_partitions) {
+      runs_tracking_(&platform.memory(), sim::MemoryCategory::kChunkTables,
+                     store.meta().source_runs_bytes()) {
   if (config_.num_stream_threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.num_stream_threads);
   }
-}
-
-const graph::RunIndex& StreamEngine::partition_runs(std::uint32_t pid,
-                                                    const ChunkSpan& span) const {
-  // call_once per partition: concurrent jobs first touching *different*
-  // partitions build in parallel; once published the index is immutable and
-  // reads are lock-free.
-  std::call_once(run_cache_once_[pid], [&] {
-    graph::RunIndex& index = run_cache_[pid];
-    index = graph::index_runs(span.edges, span.edge_count);
-    MutexLock lock(run_cache_mutex_);
-    run_cache_bytes_ += index.footprint_bytes();
-    run_cache_tracking_ = sim::TrackedAllocation(
-        &platform_.memory(), sim::MemoryCategory::kChunkTables, run_cache_bytes_);
-  });
-  return run_cache_[pid];
 }
 
 std::vector<std::uint32_t> StreamEngine::active_partitions(
@@ -179,9 +163,16 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
   // skips 64 clear bits per word load) and a binary search inside the run's
   // ascending segment lands on the first run at or past it, so a genuinely
   // sparse frontier touches O(active log runs) index entries.
+  //
+  // The walk covers the span's window of the index (ChunkSpan::runs) in the
+  // indexed stream's offsets. Only the window's first run can start before
+  // it and only its last can end after it, so just the first segment's
+  // start and the last segment's end are clipped.
   constexpr graph::EdgeCount kMinSkipEdges = 24;
+  const graph::EdgeCount window_begin =
+      span.stream_offset == ChunkSpan::kNoLayout ? 0 : span.stream_offset;
+  const graph::RunWindow window = span.run_window;
   const graph::SourceRun* const runs = span.runs->runs.data();
-  const auto run_count = static_cast<std::uint32_t>(span.runs->runs.size());
   const std::uint32_t* const segments = span.runs->segments.data();
   std::uint64_t processed = 0;
   util::WordCache words(active);
@@ -189,16 +180,16 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
   graph::EdgeCount segment_end = 0;  // segment = [segment_begin, segment_end)
   bool have_segment = false;
   std::uint32_t seg = 0;  // current entry of segments
-  std::uint32_t r = 0;
-  while (r < run_count) {
+  std::uint32_t r = window.first;
+  while (r < window.last) {
     const graph::SourceRun run = runs[r];
     if (words.test(run.src)) {
       const graph::EdgeCount run_begin = run.begin;
       if (!have_segment) {
-        segment_begin = run_begin;
+        segment_begin = std::max(run_begin, window_begin);
         have_segment = true;
       } else if (run_begin - segment_end >= kMinSkipEdges) {
-        processed += stream_range(algorithm, span, pid, segment_begin,
+        processed += stream_range(algorithm, span, pid, segment_begin - window_begin,
                                   segment_end - segment_begin, active, fan_out);
         segment_begin = run_begin;
       }
@@ -209,7 +200,7 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
     }
     // Inactive run: jump inside the ascending segment it sits in.
     while (segments[seg + 1] <= r) ++seg;
-    const std::uint32_t jump_end = segments[seg + 1];
+    const std::uint32_t jump_end = std::min(segments[seg + 1], window.last);
     const std::size_t next_src = active.next_set_in_range(run.src + 1, active.size());
     if (next_src >= active.size()) {
       // The rest of this segment is inactive; later ones restart lower.
@@ -226,7 +217,8 @@ std::uint64_t StreamEngine::stream_chunk(algos::StreamingAlgorithm& algorithm,
     r = static_cast<std::uint32_t>(it - runs);
   }
   if (have_segment) {
-    processed += stream_range(algorithm, span, pid, segment_begin,
+    segment_end = std::min(segment_end, window_begin + span.edge_count);
+    processed += stream_range(algorithm, span, pid, segment_begin - window_begin,
                               segment_end - segment_begin, active, fan_out);
   }
   return processed;
@@ -281,16 +273,7 @@ JobRunStats StreamEngine::run_job(std::uint32_t job_id, algos::StreamingAlgorith
       const std::size_t num_chunks = view->chunks.size();
       std::uint64_t instructions = 0;
       for (std::size_t c = 0; c < num_chunks; ++c) {
-        ChunkSpan span = view->chunks[c];
-        // A span without an index that is the whole base partition (what
-        // DefaultLoader hands out) gets the engine's shared partition index —
-        // built lazily, only when a sparse frontier can actually use it.
-        if (span.runs == nullptr && !dense && config_.use_blocks &&
-            span.stream_offset == 0 &&
-            span.edge_count == store_.meta().partition_edges(view->pid)) {
-          span.runs = &partition_runs(view->pid, span);
-        }
-
+        const ChunkSpan& span = view->chunks[c];
         util::Timer chunk_timer;
         const std::uint64_t active_edges =
             stream_chunk(algorithm, span, view->pid, active, fan_out, dense);

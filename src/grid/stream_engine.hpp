@@ -17,7 +17,11 @@
 // order-sensitive reductions (dst_disjoint_fan_out(), e.g. PageRank). Grid
 // block (i, j) holds only destinations in vertex_range(j), so those tasks
 // touch disjoint destinations, each edge is handed to the kernel once, and
-// results stay bit-identical at any thread count. The engine also announces each
+// results stay bit-identical at any thread count. On a sparse frontier a span
+// that carries a source-run index (ChunkSpan::runs, a window onto the index
+// the store wrote at preprocess) is streamed run by run, so inactive sources'
+// edges are never read; the engine builds no index of its own, and tracks
+// the store's once under kChunkTables. The engine also announces each
 // partition via begin_partition so accumulating algorithms can group
 // contributions by the graph layout rather than visit order. All simulated
 // metrics are issued from the calling thread after each chunk's blocks
@@ -28,17 +32,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 
 #include "algos/algorithm.hpp"
 #include "grid/grid_store.hpp"
 #include "grid/loader.hpp"
 #include "sim/platform.hpp"
 #include "util/thread_pool.hpp"
-#include "util/annotations.hpp"
 
 namespace graphm::grid {
 
@@ -123,14 +124,6 @@ class StreamEngine {
                              std::uint32_t pid, graph::EdgeCount begin, graph::EdgeCount len,
                              const util::AtomicBitmap& active, bool fan_out) const;
 
-  /// The shared per-partition source-run index for loaders that hand out
-  /// bare full-partition spans (DefaultLoader). Built lazily from the span's
-  /// own edges on first sparse use, then reused by every job on this engine
-  /// — immutable structure metadata, like out_degrees_. Tracked under
-  /// kChunkTables (it is skip-index metadata, the same class as GraphM's
-  /// Set_c).
-  const graph::RunIndex& partition_runs(std::uint32_t pid, const ChunkSpan& span) const;
-
   const storage::PartitionedStore& store_;
   sim::Platform& platform_;
   StreamConfig config_;
@@ -141,16 +134,8 @@ class StreamEngine {
   /// layout metadata, like out_degrees_.
   std::vector<graph::EdgeCount> block_starts_;
   std::unique_ptr<util::ThreadPool> pool_;  // present iff num_stream_threads > 1
-
-  mutable Mutex run_cache_mutex_;  // guards only the tracked byte counter
-  /// Built under a per-partition once_flag, then immutable — lock-free reads
-  /// after publication, so deliberately NOT GUARDED_BY(run_cache_mutex_).
-  mutable std::vector<graph::RunIndex> run_cache_;  // sized to P, stable
-  /// One flag per partition so distinct partitions build concurrently; the
-  /// deque keeps the (immovable) flags at stable addresses.
-  mutable std::deque<std::once_flag> run_cache_once_;
-  mutable std::uint64_t run_cache_bytes_ GUARDED_BY(run_cache_mutex_) = 0;
-  mutable sim::TrackedAllocation run_cache_tracking_ GUARDED_BY(run_cache_mutex_);
+  /// The store's source-run indexes, tracked once under kChunkTables.
+  sim::TrackedAllocation runs_tracking_;
 };
 
 }  // namespace graphm::grid

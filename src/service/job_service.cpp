@@ -51,8 +51,6 @@ JobService::JobService(std::vector<DatasetSpec> datasets, ServiceConfig config)
     groups_.set_dataset_name(d, dataset.name);
     datasets_.push_back(std::move(dataset));
   }
-  // Labelling is preprocessing (Table 3); the serving clock starts cold.
-  platform_.page_cache().reset();
   clock_.reset();
   start_workers();
 }
@@ -74,9 +72,7 @@ JobHandle JobService::submit(const algos::JobSpec& spec, std::uint64_t deadline_
                              std::size_t dataset) {
   collector_.on_submit();
   auto record = std::make_shared<JobRecord>();
-  std::uint32_t id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
-  if (id == core::kPreprocessJobId) id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
-  record->job_id = id;
+  record->job_id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
   record->dataset = dataset;
   record->spec = spec;
   record->deadline_ns = deadline_ns;

@@ -13,7 +13,7 @@ enum class MemoryCategory : int {
   kGraphStructure = 0,  // partition buffers (shared or per-job copies)
   kJobSpecific = 1,     // vertex value arrays, frontiers, bitmaps
   kChunkTables = 2,     // GraphM's Set_c / chunk_table metadata and the
-                        // streaming engine's per-partition run index
+                        // store's per-partition run index (once per engine)
   kOther = 3,
 };
 

@@ -101,12 +101,4 @@ void PageCacheSim::reset_stats() {
   per_job_.clear();
 }
 
-void PageCacheSim::reset() {
-  MutexLock lock(mutex_);
-  total_ = IoStats{};
-  per_job_.clear();
-  lru_.clear();
-  map_.clear();
-}
-
 }  // namespace graphm::sim

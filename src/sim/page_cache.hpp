@@ -43,7 +43,6 @@ class PageCacheSim {
   [[nodiscard]] std::size_t capacity_bytes() const { return capacity_pages_ * page_bytes_; }
 
   void reset_stats();
-  void reset();
 
  private:
   using PageKey = std::uint64_t;  // (file_id << 40) | page_index

@@ -35,4 +35,10 @@ std::uint64_t StoreMeta::max_partition_bytes() const {
   return best;
 }
 
+std::uint64_t StoreMeta::source_runs_bytes() const {
+  std::uint64_t bytes = 0;
+  for (const graph::RunIndex& index : source_runs) bytes += index.footprint_bytes();
+  return bytes;
+}
+
 }  // namespace graphm::storage

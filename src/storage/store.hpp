@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/run_index.hpp"
 #include "graph/types.hpp"
 #include "sim/platform.hpp"
 
@@ -33,7 +34,10 @@ struct StoreMeta {
   graph::VertexId num_vertices = 0;
   graph::EdgeCount num_edges = 0;
   std::uint32_t num_partitions = 0;
+  /// Conversion wall time (Table 3's GridGraph column), and the source-run
+  /// index's build and write on top of it (GraphM's extra preprocessing).
   std::uint64_t preprocess_ns = 0;
+  std::uint64_t index_ns = 0;
 
   // Row-major num_partitions * blocks_per_partition arrays.
   std::uint32_t blocks_per_partition = 1;
@@ -44,6 +48,12 @@ struct StoreMeta {
   /// formats bucket by destination), so source-side selective scheduling
   /// must treat every partition as potentially active.
   bool partitions_by_source = true;
+
+  /// One source-run index per partition over its base edge stream, built
+  /// at preprocess and read with the metadata, so every decorator that
+  /// forwards meta() carries it. Spans and GraphM's chunks are windows onto
+  /// it.
+  std::vector<graph::RunIndex> source_runs;
 
   [[nodiscard]] std::size_t block_index(std::uint32_t i, std::uint32_t j) const {
     return static_cast<std::size_t>(i) * blocks_per_partition + j;
@@ -59,6 +69,8 @@ struct StoreMeta {
     return partition_edges(i) * sizeof(graph::Edge);
   }
   [[nodiscard]] std::uint64_t max_partition_bytes() const;
+  /// Bytes of source_runs (kChunkTables, once per engine).
+  [[nodiscard]] std::uint64_t source_runs_bytes() const;
 };
 
 /// Read-only, thread-safe handle on a preprocessed graph.

@@ -4,6 +4,7 @@
 #include <map>
 #include <numeric>
 
+#include "graph/run_index.hpp"
 #include "graphm/chunk_table.hpp"
 #include "test_helpers.hpp"
 
@@ -62,7 +63,8 @@ TEST_P(LabelPartitionTest, Algorithm1Invariants) {
   const auto [edge_count, chunk_edges] = GetParam();
   const auto g = test::small_rmat(100, edge_count, edge_count);
   const std::size_t chunk_bytes = chunk_edges * sizeof(graph::Edge);
-  const ChunkTable table = label_partition(g.edges().data(), g.num_edges(), chunk_bytes);
+  const graph::RunIndex index = graph::index_runs(g.edges().data(), g.num_edges());
+  const ChunkTable table = label_partition(index, chunk_bytes);
 
   // Invariant 1: chunks tile the partition exactly.
   graph::EdgeCount cursor = 0;
@@ -79,10 +81,10 @@ TEST_P(LabelPartitionTest, Algorithm1Invariants) {
   }
   EXPECT_LE(table.chunks.back().total_edges(), static_cast<graph::EdgeCount>(chunk_edges));
 
-  // Invariant 3: the runs are the chunk_table's <v, N+(v)> pairs in
-  // run-length form — per source, the summed run counts match a recount of
-  // the chunk's source occurrences, and all counts sum to the chunk's edge
-  // count.
+  // Invariant 3: the partition's runs, clipped to a chunk's window, are the
+  // chunk_table's <v, N+(v)> pairs in run-length form — per source, the
+  // summed run counts match a recount of the chunk's source occurrences, and
+  // all counts sum to the chunk's edge count.
   for (const ChunkInfo& chunk : table.chunks) {
     std::uint64_t sum = 0;
     std::map<graph::VertexId, std::uint64_t> recount;
@@ -90,32 +92,31 @@ TEST_P(LabelPartitionTest, Algorithm1Invariants) {
       ++recount[g.edges()[i].src];
     }
     std::map<graph::VertexId, std::uint64_t> summed;
-    for (const graph::SourceRun& run : chunk.index.runs) {
+    for (std::uint32_t r = chunk.run_window.first; r < chunk.run_window.last; ++r) {
+      const graph::SourceRun run = graph::clip_run(index.runs[r], chunk.edge_begin, chunk.edge_end);
       sum += run.count;
       summed[run.src] += run.count;
     }
     EXPECT_EQ(summed, recount);
     EXPECT_EQ(sum, chunk.total_edges());
-
-    // Invariant 4: the run index is split into strictly ascending segments,
-    // with boundaries from 0 to runs.size().
-    const std::vector<std::uint32_t>& bounds = chunk.index.segments;
-    ASSERT_GE(bounds.size(), 2u);
-    EXPECT_EQ(bounds.front(), 0u);
-    EXPECT_EQ(bounds.back(), chunk.index.runs.size());
-    for (std::uint32_t r = 1; r < chunk.index.runs.size(); ++r) {
-      if (std::binary_search(bounds.begin(), bounds.end(), r)) continue;
-      EXPECT_LT(chunk.index.runs[r - 1].src, chunk.index.runs[r].src);
-    }
   }
 
-  // A src-sorted stream (one grid block) labels into one-segment chunks.
+  // Invariant 4: the run index is split into strictly ascending segments,
+  // with boundaries from 0 to runs.size().
+  const std::vector<std::uint32_t>& bounds = index.segments;
+  ASSERT_GE(bounds.size(), 2u);
+  EXPECT_EQ(bounds.front(), 0u);
+  EXPECT_EQ(bounds.back(), index.runs.size());
+  for (std::uint32_t r = 1; r < index.runs.size(); ++r) {
+    if (std::binary_search(bounds.begin(), bounds.end(), r)) continue;
+    EXPECT_LT(index.runs[r - 1].src, index.runs[r].src);
+  }
+
+  // A src-sorted stream (one grid block) indexes into one segment.
   std::vector<graph::Edge> sorted = g.edges();
   std::stable_sort(sorted.begin(), sorted.end(),
                    [](const graph::Edge& a, const graph::Edge& b) { return a.src < b.src; });
-  for (const ChunkInfo& chunk : label_partition(sorted.data(), sorted.size(), chunk_bytes).chunks) {
-    EXPECT_EQ(chunk.index.segments.size(), 2u);
-  }
+  EXPECT_EQ(graph::index_runs(sorted.data(), sorted.size()).segments.size(), 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, LabelPartitionTest,
@@ -124,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LabelPartitionTest,
                                            std::tuple{300, 1024}, std::tuple{4096, 1}));
 
 TEST(LabelPartition, EmptyPartition) {
-  const ChunkTable table = label_partition(nullptr, 0, 1024);
+  const ChunkTable table = label_partition(graph::RunIndex{}, 1024);
   EXPECT_TRUE(table.chunks.empty());
   EXPECT_EQ(table.total_edges(), 0u);
 }
@@ -135,44 +136,47 @@ TEST(ChunkInfo, ActiveEdgesHonorsBitmap) {
   g.add_edge(0, 2);
   g.add_edge(1, 2);
   g.add_edge(2, 0);
-  const auto label_one_chunk = [&] {
-    const ChunkTable table = label_partition(g.edges().data(), g.num_edges(), 1 << 20);
+  const auto label_one_chunk = [&](const graph::RunIndex& index) {
+    const ChunkTable table = label_partition(index, 1 << 20);
     EXPECT_EQ(table.chunks.size(), 1u);
     return table.chunks.front();
   };
-  const ChunkInfo info = label_one_chunk();
+  const graph::RunIndex index = graph::index_runs(g.edges().data(), g.num_edges());
+  const ChunkInfo info = label_one_chunk(index);
 
   util::AtomicBitmap active(3);
-  EXPECT_EQ(info.active_edges(active), 0u);
+  EXPECT_EQ(info.active_edges(index, active), 0u);
   active.set(0);
-  EXPECT_EQ(info.active_edges(active), 2u);
+  EXPECT_EQ(info.active_edges(index, active), 2u);
   active.set(2);
-  EXPECT_EQ(info.active_edges(active), 3u);
+  EXPECT_EQ(info.active_edges(index, active), 3u);
   active.set(1);
-  EXPECT_EQ(info.active_edges(active), 4u);
+  EXPECT_EQ(info.active_edges(index, active), 4u);
 
   // Source 0 again after 1 and 2, as in a chunk across two src-sorted grid
   // blocks: 0 has two runs, and N+(0) is the sum of both.
   g.add_edge(0, 1);
   g.add_edge(0, 3);
-  const ChunkInfo split = label_one_chunk();
-  ASSERT_EQ(split.index.runs.size(), 4u);
-  EXPECT_EQ(split.index.runs.front().src, 0u);
-  EXPECT_EQ(split.index.runs.back().src, 0u);
+  const graph::RunIndex split_index = graph::index_runs(g.edges().data(), g.num_edges());
+  const ChunkInfo split = label_one_chunk(split_index);
+  ASSERT_EQ(split_index.runs.size(), 4u);
+  EXPECT_EQ(split_index.runs.front().src, 0u);
+  EXPECT_EQ(split_index.runs.back().src, 0u);
 
   util::AtomicBitmap sources(3);
   sources.set(0);
-  EXPECT_EQ(split.active_edges(sources), 4u);
+  EXPECT_EQ(split.active_edges(split_index, sources), 4u);
   sources.set(1);
-  EXPECT_EQ(split.active_edges(sources), 5u);
+  EXPECT_EQ(split.active_edges(split_index, sources), 5u);
   sources.set(2);
-  EXPECT_EQ(split.active_edges(sources), 6u);
+  EXPECT_EQ(split.active_edges(split_index, sources), 6u);
 }
 
 TEST(ChunkTable, FootprintGrowsWithEntries) {
   const auto g = test::small_rmat(100, 2000);
-  const ChunkTable fine = label_partition(g.edges().data(), g.num_edges(), 64 * 12);
-  const ChunkTable coarse = label_partition(g.edges().data(), g.num_edges(), 1024 * 12);
+  const graph::RunIndex index = graph::index_runs(g.edges().data(), g.num_edges());
+  const ChunkTable fine = label_partition(index, 64 * 12);
+  const ChunkTable coarse = label_partition(index, 1024 * 12);
   EXPECT_GT(fine.footprint_bytes(), 0u);
   EXPECT_GT(fine.chunks.size(), coarse.chunks.size());
 }

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
+#include <memory>
+#include <stdexcept>
 
 #include "algos/bfs.hpp"
 #include "algos/factory.hpp"
 #include "algos/pagerank.hpp"
 #include "algos/reference.hpp"
+#include "graph/run_index.hpp"
+#include "graphm/graphm.hpp"
 #include "grid/loader.hpp"
 #include "grid/stream_engine.hpp"
 #include "test_helpers.hpp"
@@ -203,43 +206,148 @@ TEST(StreamEngine, SegmentJumpsMatchScalarOracleOnMultiBlockPartitions) {
   }
 }
 
-TEST(StreamEngine, PartitionRunIndexBuiltOncePerPartitionAcrossJobs) {
-  // A ring: one BFS vertex is active per iteration, so every partition the
-  // job reaches is streamed through the run walk with a sparse frontier.
-  constexpr graph::VertexId kVertices = 256;
-  const auto g = graph::generate_ring(kVertices);
-  const GridStore store = test::make_grid(g, 4);
-  sim::Platform platform;
-  StreamConfig config;
-  config.model_llc = false;
-  const StreamEngine engine(store, platform, config);
+TEST(SourceRuns, WindowRunsClipsAtBothEnds) {
+  // Runs of sources 5, 2, 7 with 3, 4 and 2 edges: [0,3) [3,7) [7,9).
+  std::vector<graph::SourceRun> runs;
+  for (const graph::VertexId src : {5u, 5u, 5u, 2u, 2u, 2u, 2u, 7u, 7u}) {
+    graph::append_source_run(runs, src);
+  }
+  const graph::RunIndex index = graph::restore_run_index(runs, 9, 8);
+  const auto clipped = [&](graph::EdgeCount begin, graph::EdgeCount end) {
+    std::vector<graph::SourceRun> out;
+    const graph::RunWindow window = graph::window_runs(index, begin, end);
+    for (std::uint32_t r = window.first; r < window.last; ++r) {
+      out.push_back(graph::clip_run(index.runs[r], begin, end));
+    }
+    return out;
+  };
+  using Runs = std::vector<graph::SourceRun>;
+  EXPECT_EQ(clipped(0, 9), (Runs{{5, 0, 3}, {2, 3, 4}, {7, 7, 2}}));
+  EXPECT_EQ(clipped(1, 8), (Runs{{5, 0, 2}, {2, 2, 4}, {7, 6, 1}}));
+  EXPECT_EQ(clipped(4, 6), (Runs{{2, 0, 2}}));
+  EXPECT_EQ(clipped(3, 7), (Runs{{2, 0, 4}}));
+  EXPECT_EQ(clipped(4, 4), Runs{});
+  EXPECT_EQ(clipped(7, 7), Runs{});
+  EXPECT_EQ(clipped(9, 9), Runs{});
+}
 
-  // Two sparse BFS jobs on one engine, each through its own DefaultLoader.
-  std::vector<JobRunStats> stats(2);
-  std::vector<std::thread> jobs;
-  for (std::uint32_t job = 0; job < 2; ++job) {
-    jobs.emplace_back([&, job] {
+TEST(SourceRuns, RestoreRejectsRunsThatDoNotTileTheStream) {
+  const std::vector<graph::SourceRun> good{{1, 0, 2}, {0, 2, 3}};
+  EXPECT_EQ(graph::restore_run_index(good, 5, 2).segments,
+            (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_THROW((void)graph::restore_run_index(good, 6, 2), std::runtime_error);  // sum
+  EXPECT_THROW((void)graph::restore_run_index(good, 5, 1), std::runtime_error);  // src
+  EXPECT_THROW((void)graph::restore_run_index({{1, 0, 2}, {0, 3, 2}}, 5, 2),
+               std::runtime_error);  // gap
+  EXPECT_THROW((void)graph::restore_run_index({{1, 0, 0}, {0, 0, 5}}, 5, 2),
+               std::runtime_error);  // empty run
+}
+
+TEST(StreamEngine, StoreRunIndexTrackedOncePerEngineAndWindowedBySpans) {
+  const auto g = test::small_rmat(700, 9000, 7);
+  const GridStore store = test::make_grid(g, 4);
+  const storage::StoreMeta& meta = store.meta();
+
+  // The store's index is exactly what index_runs gives over each partition
+  // read back, and each engine tracks it once, however many jobs run.
+  std::uint64_t one_per_partition = 0;
+  {
+    sim::Platform io;
+    std::vector<Edge> buffer;
+    for (std::uint32_t p = 0; p < meta.num_partitions; ++p) {
+      store.read_partition(p, buffer, io, 0);
+      const graph::RunIndex index = graph::index_runs(buffer.data(), buffer.size());
+      EXPECT_EQ(index.runs, meta.source_runs[p].runs) << "partition " << p;
+      EXPECT_EQ(index.segments, meta.source_runs[p].segments) << "partition " << p;
+      one_per_partition += index.footprint_bytes();
+    }
+  }
+  ASSERT_EQ(meta.source_runs_bytes(), one_per_partition);
+  {
+    sim::Platform platform;
+    const auto tracked = [&] {
+      return platform.memory().current(sim::MemoryCategory::kChunkTables);
+    };
+    const StreamEngine engine(store, platform);
+    EXPECT_EQ(tracked(), one_per_partition);
+    for (std::uint32_t job = 0; job < 2; ++job) {
       algos::JobSpec spec;
       spec.kind = algos::AlgorithmKind::kBfs;
-      spec.root = job * kVertices / 2;
+      spec.root = job;
       auto bfs = algos::make_algorithm(spec);
       DefaultLoader loader(store, platform);
-      stats[job] = engine.run_job(job, *bfs, loader);
-    });
+      engine.run_job(job, *bfs, loader);
+    }
+    EXPECT_EQ(tracked(), one_per_partition);
+    {
+      const StreamEngine second(store, platform);
+      EXPECT_EQ(tracked(), 2 * one_per_partition);
+    }
+    EXPECT_EQ(tracked(), one_per_partition);
   }
-  for (std::thread& t : jobs) t.join();
 
-  // Each job went round the whole ring, so both touched every partition; the
-  // tracked index is still one per partition, not one per job.
-  std::uint64_t one_per_partition = 0;
-  sim::Platform io;
-  std::vector<Edge> buffer;
-  for (std::uint32_t p = 0; p < store.meta().num_partitions; ++p) {
-    store.read_partition(p, buffer, io, 0);
-    one_per_partition += graph::index_runs(buffer.data(), buffer.size()).footprint_bytes();
+  // An odd chunk size, so GraphM's chunks straddle the grid's blocks and
+  // their windows start and end inside runs.
+  core::GraphMOptions options;
+  options.chunk_bytes_override = 97 * sizeof(Edge);
+  {
+    sim::Platform platform;
+    core::GraphM graphm(store, platform, options);
+    graphm.init();
+    std::size_t straddling = 0;
+    for (std::uint32_t pid = 0; pid < meta.num_partitions; ++pid) {
+      for (const core::ChunkInfo& chunk : graphm.chunk_tables()[pid].chunks) {
+        graph::EdgeCount start = 0;
+        for (std::uint32_t j = 1; j < meta.blocks_per_partition; ++j) {
+          start += meta.block_edges[meta.block_index(pid, j - 1)];
+          straddling += chunk.edge_begin < start && start < chunk.edge_end;
+        }
+      }
+    }
+    ASSERT_GT(straddling, 1u);
   }
-  for (const JobRunStats& s : stats) EXPECT_GE(s.iterations, kVertices - 1);
-  EXPECT_EQ(platform.memory().current(sim::MemoryCategory::kChunkTables), one_per_partition);
+
+  // Sparse BFS over the store's index, through DefaultLoader's partition
+  // spans and through GraphM's chunk windows, against the scalar oracle.
+  struct Run {
+    std::vector<double> result;
+    JobRunStats stats;
+    std::uint64_t instructions = 0;
+  };
+  const auto run = [&](bool use_blocks, bool shared) {
+    sim::Platform platform;
+    StreamConfig config;
+    config.use_blocks = use_blocks;
+    config.model_llc = false;
+    const StreamEngine engine(store, platform, config);
+    core::GraphM graphm(store, platform, options);
+    std::unique_ptr<PartitionLoader> loader;
+    if (shared) {
+      graphm.init();
+      loader = graphm.make_loader(0);
+    } else {
+      loader = std::make_unique<DefaultLoader>(store, platform);
+    }
+    algos::JobSpec spec;
+    spec.kind = algos::AlgorithmKind::kBfs;
+    spec.root = 1;
+    auto bfs = algos::make_algorithm(spec);
+    Run out;
+    out.stats = engine.run_job(0, *bfs, *loader);
+    out.result = bfs->result();
+    out.instructions = platform.instructions(0);
+    return out;
+  };
+  const Run oracle = run(false, false);
+  ASSERT_GT(oracle.stats.iterations, 2u);
+  for (const bool shared : {false, true}) {
+    const Run block = run(true, shared);
+    const char* label = shared ? "GraphM chunks" : "default loader";
+    EXPECT_EQ(oracle.result, block.result) << label;
+    EXPECT_EQ(oracle.stats.edges_processed, block.stats.edges_processed) << label;
+    EXPECT_EQ(oracle.stats.edges_streamed, block.stats.edges_streamed) << label;
+    EXPECT_EQ(oracle.instructions, block.instructions) << label;
+  }
 }
 
 TEST(StreamEngine, JobStatsAccounting) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <set>
 #include <string>
@@ -38,9 +40,79 @@ TEST(GraphMInit, BuildsTablesForEveryPartition) {
 }
 
 TEST(GraphMInit, MetadataTrackedInMemoryTracker) {
+  // GraphM tracks its chunk array; the store's index that the chunks window
+  // is tracked by the engine over the store. With both, kChunkTables holds
+  // exactly metadata_bytes().
   Fixture f;
+  const std::uint64_t index_bytes = f.store.meta().source_runs_bytes();
+  ASSERT_GT(index_bytes, 0u);
+  EXPECT_EQ(f.platform.memory().current(sim::MemoryCategory::kChunkTables),
+            f.graphm.metadata_bytes() - index_bytes);
+  const grid::StreamEngine engine(f.store, f.platform);
   EXPECT_EQ(f.platform.memory().current(sim::MemoryCategory::kChunkTables),
             f.graphm.metadata_bytes());
+}
+
+/// Forwards to a wrapped store, counting every read, over a copy of its
+/// metadata that a test may edit.
+class CountingStore final : public storage::PartitionedStore {
+ public:
+  explicit CountingStore(const storage::PartitionedStore& inner)
+      : meta_(inner.meta()), inner_(inner) {}
+  const storage::StoreMeta& meta() const override { return meta_; }
+  std::uint32_t file_id() const override { return inner_.file_id(); }
+  std::vector<std::uint32_t> load_out_degrees() const override {
+    return inner_.load_out_degrees();
+  }
+  std::uint64_t read_partition(std::uint32_t i, std::vector<graph::Edge>& out,
+                               sim::Platform& platform, std::uint32_t job) const override {
+    ++reads;
+    return inner_.read_partition(i, out, platform, job);
+  }
+  std::uint64_t read_edges(std::uint32_t i, graph::EdgeCount first, graph::EdgeCount count,
+                           graph::Edge* out, sim::Platform& platform,
+                           std::uint32_t job) const override {
+    ++reads;
+    return inner_.read_edges(i, first, count, out, platform, job);
+  }
+  storage::StoreMeta meta_;
+  mutable std::atomic<std::uint64_t> reads{0};
+
+ private:
+  const storage::PartitionedStore& inner_;
+};
+
+TEST(GraphMInit, MakesNoStoreRead) {
+  const auto g = test::small_rmat(512, 6000);
+  const grid::GridStore grid_store = test::make_grid(g, 4);
+  const CountingStore store(grid_store);
+  sim::Platform platform;
+  GraphM graphm(store, platform);
+  graphm.init();
+  EXPECT_EQ(store.reads.load(), 0u);
+  EXPECT_EQ(platform.page_cache().total_stats().read_bytes, 0u);
+
+  // The chunks still cover the partitions, and a job's first load is the
+  // first read.
+  graph::EdgeCount total = 0;
+  for (const ChunkTable& table : graphm.chunk_tables()) total += table.total_edges();
+  EXPECT_EQ(total, g.num_edges());
+  auto loader = graphm.make_loader(0);
+  loader->register_iteration(0, {0});
+  ASSERT_TRUE(loader->acquire_next(0).has_value());
+  EXPECT_EQ(store.reads.load(), 1u);
+  loader->release(0, 0);
+  loader->job_finished(0);
+}
+
+TEST(GraphMInit, ThrowsOnAStoreWithoutARunIndex) {
+  const auto g = test::small_rmat(64, 500);
+  const grid::GridStore grid_store = test::make_grid(g, 2);
+  CountingStore store(grid_store);
+  store.meta_.source_runs.clear();
+  sim::Platform platform;
+  GraphM graphm(store, platform);
+  EXPECT_THROW(graphm.init(), std::runtime_error);
 }
 
 TEST(GraphMInit, ActiveEdgesMatchStoredEdgeOracle) {
@@ -56,8 +128,14 @@ TEST(GraphMInit, ActiveEdgesMatchStoredEdgeOracle) {
     f.store.read_partition(pid, partitions[pid], io, 0);
   }
   std::size_t straddling = 0;  // chunks whose runs span several blocks
-  for (const ChunkTable& table : f.graphm.chunk_tables()) {
-    for (const ChunkInfo& chunk : table.chunks) straddling += chunk.index.segments.size() > 2;
+  for (std::uint32_t pid = 0; pid < meta.num_partitions; ++pid) {
+    const std::vector<std::uint32_t>& segments = meta.source_runs[pid].segments;
+    for (const ChunkInfo& chunk : f.graphm.chunk_tables()[pid].chunks) {
+      const auto segment_of = [&](std::uint32_t r) {
+        return std::upper_bound(segments.begin(), segments.end(), r) - segments.begin();
+      };
+      straddling += segment_of(chunk.run_window.first) != segment_of(chunk.run_window.last - 1);
+    }
   }
   ASSERT_GT(straddling, 0u);
 
@@ -74,7 +152,7 @@ TEST(GraphMInit, ActiveEdgesMatchStoredEdgeOracle) {
         for (graph::EdgeCount i = chunk.edge_begin; i < chunk.edge_end; ++i) {
           if (active.get(partitions[pid][i].src)) ++oracle;
         }
-        EXPECT_EQ(chunk.active_edges(active), oracle)
+        EXPECT_EQ(chunk.active_edges(meta.source_runs[pid], active), oracle)
             << "seed " << seed << " partition " << pid << " chunk at " << chunk.edge_begin;
       }
     }

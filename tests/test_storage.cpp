@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "graph/datasets.hpp"
 #include "storage/store.hpp"
 #include "test_helpers.hpp"
 
@@ -160,6 +168,117 @@ TEST(StoreConcurrentReads, GridAndShardAtOnce) {
   const grid::GridStore grid_store = test::make_grid(g, 4);
   const shard::ShardStore shard_store = test::make_shards(g, 3);
   expect_concurrent_reads_match({&grid_store, &shard_store});
+}
+
+std::vector<char> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Preprocesses one small graph per fault with `preprocess`, damages its
+/// .runs file, and expects `open` to throw. The .runs layout is, per
+/// partition, a u64 run count and then 12-byte {src, begin, count} runs.
+template <typename Store>
+void expect_damaged_runs_rejected(
+    const std::function<void(const graph::EdgeList&, const std::string&)>& preprocess) {
+  const auto g = test::small_rmat(128, 2000);
+  const auto damaged = [&](const std::function<void(std::vector<char>&)>& damage) {
+    const std::string path = test::unique_temp_path("runs");
+    preprocess(g, path);
+    std::vector<char> bytes = read_bytes(path + ".runs");
+    damage(bytes);
+    write_bytes(path + ".runs", bytes);
+    return path;
+  };
+  // Partition 0's run count, and the offset of its run r's field at `field`.
+  const auto run_field = [](const std::vector<char>& bytes, std::uint64_t r, std::size_t field) {
+    std::uint64_t count = 0;
+    std::memcpy(&count, bytes.data(), sizeof(count));
+    EXPECT_GT(count, r);
+    return sizeof(count) + r * sizeof(graph::SourceRun) + field;
+  };
+  const auto add_to_field = [](std::vector<char>& bytes, std::size_t at, std::uint32_t delta) {
+    std::uint32_t value = 0;
+    std::memcpy(&value, bytes.data() + at, sizeof(value));
+    value += delta;
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+  };
+
+  EXPECT_NO_THROW(Store::open(damaged([](std::vector<char>&) {})));
+
+  const std::string missing = damaged([](std::vector<char>&) {});
+  std::filesystem::remove(missing + ".runs");
+  EXPECT_THROW(Store::open(missing), std::runtime_error) << "missing";
+
+  EXPECT_THROW(Store::open(damaged([](std::vector<char>& bytes) { bytes.pop_back(); })),
+               std::runtime_error)
+      << "one byte short";
+
+  // One more edge in partition 0's last run: the counts no longer sum to the
+  // partition's edges.
+  EXPECT_THROW(Store::open(damaged([&](std::vector<char>& bytes) {
+                 std::uint64_t count = 0;
+                 std::memcpy(&count, bytes.data(), sizeof(count));
+                 add_to_field(bytes, run_field(bytes, count - 1, 8), 1);
+               })),
+               std::runtime_error)
+      << "counts";
+
+  // Partition 0's first source moved to num_vertices.
+  EXPECT_THROW(Store::open(damaged([&](std::vector<char>& bytes) {
+                 std::uint32_t src = 0;
+                 const std::size_t at = run_field(bytes, 0, 0);
+                 std::memcpy(&src, bytes.data() + at, sizeof(src));
+                 add_to_field(bytes, at, g.num_vertices() - src);
+               })),
+               std::runtime_error)
+      << "source";
+}
+
+TEST(StoreFiles, GridOpenRejectsDamagedRuns) {
+  expect_damaged_runs_rejected<grid::GridStore>(
+      [](const graph::EdgeList& g, const std::string& path) {
+        grid::GridStore::preprocess(g, 4, path);
+      });
+}
+
+TEST(StoreFiles, ShardOpenRejectsDamagedRuns) {
+  expect_damaged_runs_rejected<shard::ShardStore>(
+      [](const graph::EdgeList& g, const std::string& path) {
+        shard::ShardStore::preprocess(g, 4, path);
+      });
+}
+
+TEST(StoreFiles, OpenDatasetGridPreprocessesACacheWithoutRuns) {
+  // A scale no other test uses, so the cache files are this test's own.
+  const double scale = 0.0137;
+  char suffix[64];
+  std::snprintf(suffix, sizeof(suffix), "_%.4f_p%u.grid", scale, 4u);
+  const std::string grid_path =
+      (std::filesystem::path(graph::dataset_cache_dir()) / ("livej_s" + std::string(suffix)))
+          .string();
+  for (const char* ext : {".meta", ".data", ".runs", ".deg"}) {
+    std::filesystem::remove(grid_path + ext);
+  }
+  // A cache from before the .runs file: only a .meta/.data pair, in a
+  // format open() no longer reads.
+  write_bytes(grid_path + ".meta", {'1', 'D', 'r', 'G'});
+  write_bytes(grid_path + ".data", {});
+
+  const grid::GridStore store = grid::open_dataset_grid("livej_s", 4, scale);
+  EXPECT_TRUE(std::filesystem::exists(grid_path + ".runs"));
+  ASSERT_EQ(store.meta().source_runs.size(), 4u);
+  EXPECT_GT(store.meta().num_edges, 0u);
+  graph::EdgeCount indexed = 0;
+  for (const graph::RunIndex& index : store.meta().source_runs) {
+    for (const graph::SourceRun& run : index.runs) indexed += run.count;
+  }
+  EXPECT_EQ(indexed, store.meta().num_edges);
 }
 
 }  // namespace

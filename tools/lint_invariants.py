@@ -39,8 +39,12 @@ one-run-index-builder
                   in src/, append_source_run( and sorted_run_segments( appear
                   only in the run-index builder's files (src/graph/run_index.*):
                   every source-run index is built by graph::index_runs, so
-                  chunk tables, snapshot overlays and the engine's partition
-                  index share one run granularity and one shape.
+                  the store's partition indexes and snapshot overlays share
+                  one run granularity and one shape. index_runs( itself is
+                  called only by the store writer (write_store in
+                  src/storage/store_files.cpp) and by
+                  SharingController::make_overlay_locked, so no run-time
+                  partition index can come back beside the store's.
 
 Exit status: 0 when clean, 1 when any rule fires. Output is one
 `path:line: [rule] message` per violation — clickable in editors and CI logs.
@@ -90,6 +94,15 @@ BACKTICKED = re.compile(r"`([^`]+)`")
 
 RUN_INDEX_PRIMITIVE = re.compile(r"(?<![\w])(append_source_run|sorted_run_segments)\s*\(")
 RUN_INDEX_BUILDER = {"src/graph/run_index.hpp", "src/graph/run_index.cpp"}
+RUN_INDEX_CALL = re.compile(r"(?<![\w])index_runs\s*\(")
+# file -> the one function in it that may call index_runs(
+RUN_INDEX_CALLERS = {
+    "src/storage/store_files.cpp": "write_store",
+    "src/graphm/sharing_controller.cpp": "make_overlay_locked",
+}
+# A function definition's first line: starts at column 0 with an identifier;
+# group 1 is the name just before the parameter list.
+TOP_LEVEL_DEF = re.compile(r"^[A-Za-z_][^\n(;]*?\b(\w+)\s*\(", re.MULTILINE)
 
 ENUMERATOR = re.compile(r"^\s*(k[A-Za-z0-9]+)\s*=\s*\d+\s*,", re.MULTILINE)
 CASE_LABEL = re.compile(r"case\s+TraceCode::(k[A-Za-z0-9]+)\s*:")
@@ -296,6 +309,17 @@ def check_one_run_index_builder(root: pathlib.Path) -> List[Violation]:
                 rel, line_of(code, m.start()), "one-run-index-builder",
                 f"{m.group(1)}() outside src/graph/run_index.* — build run "
                 "indexes with graph::index_runs"))
+        allowed = RUN_INDEX_CALLERS.get(rel.as_posix())
+        for m in RUN_INDEX_CALL.finditer(code):
+            enclosing = None
+            for d in TOP_LEVEL_DEF.finditer(code, 0, m.start()):
+                enclosing = d.group(1)
+            if allowed is not None and enclosing == allowed:
+                continue
+            violations.append(Violation(
+                rel, line_of(code, m.start()), "one-run-index-builder",
+                "index_runs() outside the store writer and snapshot overlays "
+                "— spans use the store's index (StoreMeta::source_runs)"))
     return violations
 
 

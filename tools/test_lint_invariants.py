@@ -258,11 +258,61 @@ class LintRuleTests(unittest.TestCase):
             }
         """)
         self.tree.write("src/graphm/chunk_table.cpp", """
-            // Built with graph::index_runs, never append_source_run(runs, src).
+            // Windows graph::index_runs(...) output, never append_source_run(runs, src).
             const char* note = "sorted_run_segments(";
-            chunk.index = graph::index_runs(edges, count);
+            const char* also = "index_runs(";
             my_append_source_run(x);
+            my_index_runs(x);
         """)
+        self.assertEqual(lint.check_one_run_index_builder(self.tree.root), [])
+
+    def test_one_run_index_builder_fires_on_run_time_partition_index(self) -> None:
+        self.tree.write("src/grid/stream_engine.cpp", """
+const graph::RunIndex& StreamEngine::partition_runs(std::uint32_t pid,
+                                                    const ChunkSpan& span) const {
+  run_cache_[pid] = graph::index_runs(span.edges, span.edge_count);
+  return run_cache_[pid];
+}
+""")
+        self.tree.write("src/graphm/sharing_controller.cpp", """
+SharingController::OverlayPtr SharingController::make_overlay_locked(PartitionId pid) {
+  overlay->runs = graph::index_runs(edges.data(), edges.size());
+}
+
+grid::PartitionView SharingController::build_view_locked(JobId job, PartitionId pid) {
+  span.runs = new graph::RunIndex(graph::index_runs(span.edges, span.edge_count));
+}
+""")
+        self.tree.write("src/storage/store_files.cpp", """
+StoreMeta read_store_meta(const std::string& path, std::uint32_t magic) {
+  meta.source_runs.push_back(graph::index_runs(first, count));
+}
+""")
+        violations = lint.check_one_run_index_builder(self.tree.root)
+        self.assertEqual(self.rules_fired(violations), {"one-run-index-builder"})
+        self.assertEqual(sorted((v.path.as_posix(), v.line) for v in violations),
+                         [("src/graphm/sharing_controller.cpp", 7),
+                          ("src/grid/stream_engine.cpp", 4),
+                          ("src/storage/store_files.cpp", 3)])
+
+    def test_one_run_index_builder_allows_store_writer_and_overlays(self) -> None:
+        self.tree.write("src/storage/store_files.cpp", """
+namespace {
+void helper() {}
+}  // namespace
+
+void write_store(const std::string& path, std::uint32_t magic, StoreMeta& meta) {
+  for (std::uint32_t p = 0; p < meta.num_partitions; ++p) {
+    meta.source_runs.push_back(graph::index_runs(first, meta.partition_edges(p)));
+  }
+}
+""")
+        self.tree.write("src/graphm/sharing_controller.cpp", """
+SharingController::OverlayPtr SharingController::make_overlay_locked(
+    PartitionId pid, std::uint32_t chunk_id, std::vector<graph::Edge> edges) {
+  overlay->runs = graph::index_runs(edges.data(), edges.size());
+}
+""")
         self.assertEqual(lint.check_one_run_index_builder(self.tree.root), [])
 
     # -- the real tree --------------------------------------------------------
